@@ -2,8 +2,8 @@
 // throughput accounting, and aligned table printing.
 //
 // Every binary prints a self-contained table matching the experiment index
-// in DESIGN.md §4; EXPERIMENTS.md records the measured output against the
-// paper's claims. Durations are deliberately short by default (the full
+// in DESIGN.md §4; the committed BENCH_*.json files record measured output
+// (the `--json=<file>` envelopes). Durations are deliberately short by default (the full
 // bench suite must run in minutes on a laptop-class host); override with
 // the LLXSCX_BENCH_MS environment variable for longer, steadier runs.
 #pragma once

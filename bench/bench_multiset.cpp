@@ -5,8 +5,8 @@
 // implementations (LLX/SCX Fig. 6, MCAS-based, fine-grained locks, coarse
 // lock). Each cell reports ops/second over a timed phase.
 //
-// Host caveat (EXPERIMENTS.md): this container exposes one hardware thread,
-// so multi-thread rows measure robustness under preemption, not speedup.
+// Host caveat: on a host with fewer hardware threads than workers, the
+// multi-thread rows measure robustness under preemption, not speedup.
 #include <cstdio>
 #include <string>
 

@@ -8,9 +8,9 @@
 // garbage:
 //
 //   ebr   — epoch-deferred delete (the default; bounded garbage)
-//   leaky — retire() drops nodes on the floor: footprint grows with every
-//           removal, and every leaked node pins its final SCX descriptor
-//           (the transitive cost of skipping reclamation)
+//   leaky — retire() drops nodes on the floor: footprint grows by one
+//           node per removal (SCX descriptors are per-thread slots, so a
+//           leaked node pins nothing else)
 //   pool  — epoch-deferred recycling into per-thread free lists: same
 //           safety as ebr, but steady-state node churn stops paying
 //           malloc/free (pool hits are reported)
@@ -73,7 +73,6 @@ CellResult run_cell(int threads) {
     res.allocations = r.steps.allocations;
   }
   Reclaim::drain();
-  Reclaim::drain();
   // Pool hits land on the freeing thread too (the drain above recycles on
   // this one), but the per-worker deltas are what the policy cost the
   // measured phase.
@@ -109,8 +108,8 @@ bool run(const char* json_path) {
               "%d ms per row (orders: %s)\n",
               bench::phase_millis(), kRelaxedOrders ? "relaxed" : "seq_cst");
   std::printf("claim: EBR bounds garbage at ~zero after drain; the leaky "
-              "policy leaks nodes AND the descriptors they pin; the pool "
-              "policy recycles node storage per-thread\n\n");
+              "policy leaks exactly the removed nodes and frees nothing; "
+              "the pool policy recycles node storage per-thread\n\n");
 
   std::vector<CellResult> cells;
   bench::Table t({"threads", "mode", "ops/s", "allocs", "freed via EBR",
@@ -128,11 +127,11 @@ bool run(const char* json_path) {
                bench::fmt_u64(c.pool_hits), bench::fmt_u64(c.leaked)});
   }
   t.print();
-  std::printf("\nnote: 'leaky' rows free only descriptors whose records were "
-              "all re-frozen later; removed nodes themselves are never "
-              "freed (unbounded footprint in a long-running process). "
-              "'pool' frees at thread exit; its drained blocks sit in "
-              "per-thread free lists, not the allocator.\n");
+  std::printf("\nnote: 'leaky' rows free nothing: removed nodes are never "
+              "freed (unbounded footprint in a long-running process), and "
+              "SCX descriptors are per-thread slots that are never "
+              "allocated. 'pool' frees at thread exit; its drained blocks "
+              "sit in per-thread free lists, not the allocator.\n");
   return json_path == nullptr || emit_json(json_path, cells);
 }
 

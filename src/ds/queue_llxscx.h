@@ -11,10 +11,10 @@
 // Shapes (DESIGN.md §9):
 //   enqueue — SCX(V=⟨last, tail⟩,  R=⟨tail⟩,  last.next ← n(→ tail′))
 //             k=2 ⇒ 3 CAS + 1 hint-publish CAS, f=1 ⇒ 3 writes,
-//             3 allocs (n + tail′ + descriptor)
+//             2 allocs (n + tail′)
 //   dequeue — SCX(V=⟨head, first⟩, R=⟨first⟩, head.next ← first.next)
 //             k=2 ⇒ 3 CAS, f=1 ⇒ 3 writes + 1 hint-invalidate write,
-//             1 alloc (descriptor only)
+//             0 allocs
 //
 // Dequeue is the repo's one write_handoff() user: it installs an EXISTING
 // address (first's snapshot successor) instead of a fresh copy. The §3

@@ -10,9 +10,9 @@
 //
 // Shapes (DESIGN.md §9):
 //   push      — SCX(V=⟨head⟩,            R=∅,           head.top ← n)
-//               k=1 ⇒ 2 CAS, f=0 ⇒ 2 writes, 2 allocs (n + descriptor)
+//               k=1 ⇒ 2 CAS, f=0 ⇒ 2 writes, 1 alloc (n)
 //   pop       — SCX(V=⟨head, top, succ⟩, R=⟨top, succ⟩, head.top ← succ′)
-//               k=3 ⇒ 4 CAS, f=2 ⇒ 4 writes, 2 allocs (succ′ + descriptor)
+//               k=3 ⇒ 4 CAS, f=2 ⇒ 4 writes, 1 alloc (succ′)
 //
 // Why pop copies the successor instead of re-linking it: succ's address
 // was head.top once already (when succ was pushed), so writing it back

@@ -171,14 +171,15 @@ class TreeTemplate {
   //   every interior node BEFORE reading its children, then VLX the whole
   //   witness set once at the end.
   //
-  // A witness is two acquire loads (the node's info field and the named
-  // descriptor's state) — NOT an LLX: nothing is linked for an SCX, no
+  // A witness is two acquire loads (the node's info word and the state of
+  // the operation it names) — NOT an LLX: nothing is linked for an SCX, no
   // freeze, no CAS, no write, no allocation of records. A witness is only
-  // accepted if its descriptor is DECIDED (committed/aborted); an
-  // in-progress descriptor is helped to completion and the walk restarts.
-  // That decided-state check is what makes the final VLX sufficient:
+  // accepted if that operation is DECIDED (committed/aborted, or its
+  // slot's seq has moved on); an in-progress one is helped to completion
+  // and the walk restarts. That decided-state check is what makes the
+  // final VLX sufficient:
   //
-  //   · a decided descriptor performs no further field writes (committed ⇒
+  //   · a decided operation performs no further field writes (committed ⇒
   //     its update-CAS already happened and fresh-value discipline keeps it
   //     from succeeding twice; aborted ⇒ some freeze failed, so no helper
   //     ever reaches the update-CAS), and
@@ -238,7 +239,7 @@ class TreeTemplate {
   // run keys routing to the same insertion edge p→t is installed by ONE
   // SCX — same V = ⟨p, t⟩, R = ⟨t⟩ shape as a scalar insert, but the
   // fresh subtree carries the whole group (2·G+1 fresh nodes for G keys),
-  // amortizing the per-key LLX/SCX/descriptor cost that makes a grow
+  // amortizing the per-key LLX/SCX cost that makes a grow
   // phase insert-bound. Grouping is exact, not heuristic: the walk
   // narrows the key interval [glo, ghi] routed to the target edge via the
   // engine's clamp_interval hook, and a run key joins the group iff it
@@ -492,14 +493,15 @@ class TreeTemplate {
   // keys, ascending).
   void after_insert_all(const std::uint64_t*, std::size_t, Node*, Node*) {}
 
-  // Capture a VLX witness for interior node n: accept only a DECIDED
-  // descriptor (see range()); help an in-progress one and report failure
-  // so the caller restarts. Two instrumented acquire loads, no LLX.
+  // Capture a VLX witness for interior node n: accept only an info word
+  // whose operation is DECIDED (see range()); help an in-progress one and
+  // report failure so the caller restarts. Two instrumented reads — the
+  // info word and its operation's state — and no LLX.
   static bool witness(const Node* n, std::vector<LinkedLlx>& w) {
     Stats::count_read();
-    ScxRecord* info = n->info_.load(mo::acquire);
+    const std::uint64_t info = n->info_.load(mo::acquire);
     Stats::count_read();
-    if (info->state_.load(mo::acquire) == ScxRecord::kInProgress) {
+    if (detail_state_of(info) == ScxRecord::kInProgress) {
       detail_help(info);
       return false;
     }

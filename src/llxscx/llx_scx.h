@@ -12,18 +12,17 @@
 //                       one update CAS (the k+1 CAS of claim C-A).
 //   VLX(V)            — validate-extended: k shared reads (claim C-C).
 //
-// Memory management: the paper assumes a garbage collector ("in other
-// languages, such as C++, memory management is an issue", §6). Here the
-// GC edges are made explicit: every SCX-record carries a reference count
-// covering (a) Data-records whose info pointer is installed on it and
-// (b) the info_fields entries of live SCX-records that name it. A
-// descriptor whose count drops to zero is retired through the reclamation
-// policy that allocated it (reclaim/record_manager.h); every policy's
-// Guard pins the epoch, which shields in-flight readers: any pointer
-// loaded from a record's info field while a Guard is held stays valid
-// (possibly dead, but never freed) until the guard drops — that is what
-// makes using a displaced descriptor as a freezing-CAS expected value
-// ABA-safe.
+// Descriptors: the paper allocates a fresh SCX-record per SCX and lets the
+// garbage collector reclaim it (§6). Here each thread owns ONE SCX-record
+// slot in a fixed static table and reuses it for every SCX it creates
+// (Brown, "Reuse, Don't Recycle", DISC 2017). A record's info field holds
+// the word (slot, seq) of the operation that last froze it, 0 if none
+// ever did; the slot's state word packs the seq it currently serves with
+// that operation's state and allFrozen flag. Seqs never repeat within a
+// slot, so a (slot, seq) word never recurs: that — not the lifetime of a
+// descriptor's address — is what makes the freezing CAS's expected value
+// and LLX's validating re-read ABA-free. A seq that has moved on names a
+// DECIDED operation. Descriptors are never allocated, counted or retired.
 //
 // Memory orders: every access uses the weakest order that preserves the
 // happens-before edge the Fig. 2/Fig. 4 proofs need, named in a comment
@@ -39,6 +38,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 #include "reclaim/record_manager.h"
 #include "util/memorder.h"
@@ -47,15 +48,10 @@
 namespace llxscx {
 
 class DataRecordBase;
-class ScxRecord;
 
-// Default descriptor retirement (EbrManager path); defined after Epoch is
-// usable so ScxRecord's member initializer can name it.
-void detail_retire_scx_default(ScxRecord* r);
-
-// SCX-record: the operation descriptor (paper Fig. 1). One is allocated per
-// SCX attempt and shared with helpers through the records it freezes.
-class ScxRecord {
+// SCX-record: the operation descriptor (paper Fig. 1), one reusable slot
+// per thread; helpers find it from an info word by address arithmetic.
+class alignas(64) ScxRecord {
  public:
   // V capacity. 16 covers every per-operation shape in ds/ (the widest is
   // the chromatic tree's k=5 rotations); the hash map's bucket-seal SCX
@@ -66,89 +62,114 @@ class ScxRecord {
   // runtime value, so the k+1-CAS / f+2-writes shapes are unaffected.
   static constexpr std::size_t kMaxV = 48;
 
-  enum State : int { kInProgress = 0, kCommitted = 1, kAborted = 2 };
+  // Slot-table capacity: the most live threads that may have run an SCX.
+  static constexpr std::size_t kMaxSlots = 1024;
 
-  ScxRecord() { Stats::count_alloc(); }
-  ~ScxRecord();
+  enum State : std::uint64_t { kInProgress = 0, kCommitted = 1, kAborted = 2 };
 
-  // Reference counting (the explicit GC edges). try_acquire refuses a
-  // descriptor already on its way to the epoch limbo list, so a reference
-  // can never resurrect one.
-  bool try_acquire() {
-    // relaxed/acq_rel: the count carries no payload — the descriptor's
-    // fields were already published to this thread by the acquire load of
-    // the info field that produced the pointer; the acq_rel CAS keeps the
-    // count's RMW chain intact for release() below.
-    std::uint64_t c = refs_.load(mo::relaxed);
-    while (c != 0) {
-      if (refs_.compare_exchange_weak(c, c + 1, mo::acq_rel, mo::relaxed)) {
-        return true;
-      }
-    }
-    return false;
+  // Info words: seq << kSlotBits | slot. Every operation's seq is >= 1, so
+  // the word 0 names no operation ("never frozen"). 54 seq bits do not
+  // wrap within any realistic run.
+  static constexpr unsigned kSlotBits = 10;
+  static_assert(kMaxSlots <= std::size_t{1} << kSlotBits);
+  static constexpr std::uint64_t info_word(std::size_t slot,
+                                           std::uint64_t seq) {
+    return seq << kSlotBits | slot;
   }
-  void release() {
-    // acq_rel (the shared_ptr edge): release orders this owner's last use
-    // of the descriptor before the decrement; acquire on the final
-    // decrement orders the retirement after every other owner's last use.
-    if (refs_.fetch_sub(1, mo::acq_rel) == 1) {
-      reclaim_retire_(this);
-    }
+  static constexpr std::uint64_t seq_of(std::uint64_t info) {
+    return info >> kSlotBits;
+  }
+  static ScxRecord& of(std::uint64_t info);  // the slot a nonzero word names
+
+  // State words: seq << 3 | allFrozen | State, for the seq the slot serves.
+  static constexpr std::uint64_t kAllFrozen = 4;
+  static constexpr std::uint64_t state_word(std::uint64_t seq,
+                                            std::uint64_t bits) {
+    return seq << 3 | bits;
   }
 
-  // Operation fields — written once by the creating thread in scx() before
-  // the descriptor is published, read-only to helpers (except state_ /
-  // all_frozen_, which helpers write).
-  DataRecordBase* v_[kMaxV] = {};
-  ScxRecord* info_fields_[kMaxV] = {};
-  std::size_t k_ = 0;
-  std::size_t acquired_ = 0;  // how many info_fields_ references we hold
-  std::uint64_t finalize_mask_ = 0;  // 64-bit: must index all of kMaxV
-  std::atomic<std::uint64_t>* fld_ = nullptr;
-  std::uint64_t old_ = 0;
-  std::uint64_t new_ = 0;
-  std::atomic<int> state_{kInProgress};
-  std::atomic<bool> all_frozen_{false};
-  // How a zero-reference descriptor is reclaimed: set (pre-publication) by
-  // the scx() that allocated it, so descriptors from a PoolManager domain
-  // go back to the pool while EBR domains delete. Plain pointer: written
-  // before the first freezing CAS publishes the descriptor.
-  void (*reclaim_retire_)(ScxRecord*) = &detail_retire_scx_default;
+  // Slot ownership. claim() aborts, naming kMaxSlots, when every slot is
+  // taken. slots_in_use() is a relaxed count for tests and reports.
+  static std::size_t claim();
+  static void release(std::size_t slot);
+  static std::size_t slots_in_use();
+
+  std::atomic<std::uint64_t> word_{0};
+
+  // The operation's fields, rewritten by the owner for each SCX after it
+  // moves word_ to the new seq. Atomics because a helper of the slot's
+  // previous operation may still be copying them (detail_help).
+  std::atomic<std::size_t> k_{0};
+  std::atomic<std::uint64_t> finalize_mask_{0};  // 64-bit: indexes all of kMaxV
+  std::atomic<std::atomic<std::uint64_t>*> fld_{nullptr};
+  std::atomic<std::uint64_t> old_{0};
+  std::atomic<std::uint64_t> new_{0};
+  std::atomic<DataRecordBase*> v_[kMaxV] = {};
+  std::atomic<std::uint64_t> info_fields_[kMaxV] = {};
 
  private:
-  std::atomic<std::uint64_t> refs_{1};  // creator's reference
-
-  friend ScxRecord* detail_dummy_scx();
+  std::atomic<bool> claimed_{false};
 };
 
-inline void detail_retire_scx_default(ScxRecord* r) { Epoch::retire(r); }
+// The slot table: zero-initialized storage, so only slots that threads
+// actually claim ever touch memory.
+inline constinit ScxRecord detail_scx_slots[ScxRecord::kMaxSlots];
 
-// The initial descriptor every fresh Data-record points at (state Aborted =
-// "unfrozen"). Its reference count starts astronomically high so release()
-// can treat it uniformly and it still never reaches the limbo list.
-inline ScxRecord* detail_dummy_scx() {
-  static ScxRecord* d = [] {
-    auto* r = new ScxRecord;
-    r->state_.store(ScxRecord::kAborted, std::memory_order_relaxed);
-    r->refs_.store(std::uint64_t{1} << 62, std::memory_order_relaxed);
-    return r;
-  }();
-  return d;
+inline ScxRecord& ScxRecord::of(std::uint64_t info) {
+  return detail_scx_slots[info & ((std::uint64_t{1} << kSlotBits) - 1)];
+}
+
+inline std::size_t ScxRecord::claim() {
+  for (std::size_t i = 0; i < kMaxSlots; ++i) {
+    std::atomic<bool>& c = detail_scx_slots[i].claimed_;
+    // acquire: the previous owner's operations (its last seq included)
+    // happen-before ours, so our seqs continue past its.
+    if (!c.load(std::memory_order_relaxed) &&
+        !c.exchange(true, std::memory_order_acquire)) {
+      return i;
+    }
+  }
+  std::fprintf(stderr,
+               "llxscx: all ScxRecord::kMaxSlots = %zu SCX descriptor slots "
+               "are claimed; at most that many live threads may run SCX\n",
+               kMaxSlots);
+  std::abort();
+}
+
+inline void ScxRecord::release(std::size_t slot) {
+  // release: pairs with claim()'s acquire (see there).
+  detail_scx_slots[slot].claimed_.store(false, std::memory_order_release);
+}
+
+inline std::size_t ScxRecord::slots_in_use() {
+  std::size_t n = 0;
+  for (const ScxRecord& s : detail_scx_slots) {
+    n += s.claimed_.load(std::memory_order_relaxed) ? 1 : 0;
+  }
+  return n;
+}
+
+// This thread's slot: claimed on first use, returned at thread exit.
+inline std::size_t detail_my_scx_slot() {
+  struct Owner {
+    std::size_t slot = ScxRecord::claim();
+    Owner() = default;
+    Owner(const Owner&) = delete;
+    Owner& operator=(const Owner&) = delete;
+    ~Owner() { ScxRecord::release(slot); }
+  };
+  thread_local Owner owner;
+  return owner.slot;
 }
 
 // Non-template base so SCX-records and helpers handle records of any width.
 class DataRecordBase {
  public:
-  DataRecordBase() : info_(detail_dummy_scx()) { Stats::count_alloc(); }
-  ~DataRecordBase() {
-    // Quiescent by contract (the record is past its grace period or was
-    // never shared): drop the install edge to the current descriptor.
-    info_.load(std::memory_order_relaxed)->release();
-  }
+  DataRecordBase() { Stats::count_alloc(); }
   DataRecordBase(const DataRecordBase&) = delete;
   DataRecordBase& operator=(const DataRecordBase&) = delete;
 
-  std::atomic<ScxRecord*> info_;
+  std::atomic<std::uint64_t> info_{0};  // info word of the last freezer
   std::atomic<bool> marked_{false};
 };
 
@@ -166,13 +187,13 @@ class DataRecord : public DataRecordBase {
   mutable std::array<std::atomic<std::uint64_t>, NumMut> mut_ = {};
 };
 
-// What an LLX leaves behind for a later SCX/VLX: the record and the
-// descriptor witnessed in its info field (the paper's per-process table,
-// made explicit). Plain data — validity is covered by the caller's
-// Guard, which must span the LLX and the SCX/VLX that consumes it.
+// What an LLX leaves behind for a later SCX/VLX: the record and the info
+// word witnessed in it (the paper's per-process table, made explicit).
+// Plain data — the record's validity is covered by the caller's Guard,
+// which must span the LLX and the SCX/VLX that consumes it.
 struct LinkedLlx {
   DataRecordBase* rec = nullptr;
-  ScxRecord* info = nullptr;
+  std::uint64_t info = 0;
 };
 
 template <std::size_t NumMut>
@@ -210,93 +231,149 @@ class LlxResult {
   LinkedLlx link_;
 };
 
-// Help(U) — paper Fig. 3. Runs the freezing loop, then marks, updates fld,
-// and commits; any thread may execute it for any descriptor. Returns
-// whether U committed.
-inline bool detail_help(ScxRecord* u) {
-  for (std::size_t i = 0; i < u->k_; ++i) {
-    DataRecordBase* r = u->v_[i];
-    ScxRecord* exp = u->info_fields_[i];
-    ScxRecord* witnessed = exp;
-    // Count the install edge BEFORE attempting to create it: if the count
-    // could lag a won CAS (helper stalled between the two), every counted
-    // reference could drain meanwhile and retire a descriptor that r's
-    // info field still names — a dangling info pointer for any later LLX,
-    // and a resurrection once the stalled helper resumed. try_acquire
-    // failing means refs_ already hit zero, which implies u is decided
-    // (the creator's reference is held until then): just report the
-    // final state, there is no installing left to do.
-    if (!u->try_acquire()) {
-      return u->state_.load(mo::acquire) == ScxRecord::kCommitted;
-    }
+// The state of the operation an info word names, as LLX and the range
+// witness read it. The word 0 names none: the record is unfrozen, which
+// reads as kAborted. A seq that has moved on reads as kCommitted: the
+// operation is decided, and for a record whose info still names it the
+// two outcomes differ only if the record is marked — and marks are written
+// only after allFrozen, so a marked record's operation committed.
+inline ScxRecord::State detail_state_of(std::uint64_t info) {
+  if (info == 0) return ScxRecord::kAborted;
+  // acquire: a decided read makes the operation's R-set marks and update
+  // visible — through its Committed store, or, once the seq has moved on,
+  // through the owner's release seq bump in scx().
+  const std::uint64_t w = ScxRecord::of(info).word_.load(mo::acquire);
+  if (w >> 3 != ScxRecord::seq_of(info)) return ScxRecord::kCommitted;
+  return static_cast<ScxRecord::State>(w & 3);
+}
+
+// Help(U) — paper Fig. 3, for U = `me` with its operation passed in: the
+// creator passes its own arguments, a helper a checked copy (detail_help).
+// Runs the freezing loop, then marks, updates fld, and commits. Returns
+// whether U committed; only the creator uses the verdict, and only for the
+// creator is it exact (a helper stops once the slot has moved past U).
+//
+// The creator's allFrozen and state writes are plain stores. A helper's
+// are CASes conditioned on U's seq, so a helper that stalls past U's
+// decision can never abort or commit the slot's next operation. (The
+// creator's allFrozen store may land after a helper already committed U,
+// briefly showing U in progress again; readers then help — idempotent
+// once allFrozen is set — until the creator's own Committed store, which
+// precedes its return.)
+inline bool detail_run(ScxRecord& u, std::uint64_t me, const LinkedLlx* v,
+                       std::size_t k, std::uint64_t finalize_mask,
+                       std::atomic<std::uint64_t>* fld, std::uint64_t old_val,
+                       std::uint64_t new_val, bool creator) {
+  const std::uint64_t seq = ScxRecord::seq_of(me);
+  const std::uint64_t in_progress =
+      ScxRecord::state_word(seq, ScxRecord::kInProgress);
+  const std::uint64_t frozen = in_progress | ScxRecord::kAllFrozen;
+  const std::uint64_t committed = frozen | ScxRecord::kCommitted;
+  for (std::size_t i = 0; i < k; ++i) {
+    std::uint64_t witnessed = v[i].info;
     Stats::count_cas();  // freezing CAS (k of the k+1)
-    // acq_rel success: release publishes u's operation fields to any
+    // acq_rel success: release publishes U's operation fields to any
     // helper that acquire-loads r.info (the help handshake — transitively
     // re-publishes them when a helper, not the creator, wins the install).
     // acquire failure: the no-false-abort edge — a displacing SCX's
-    // install is itself ordered after u's decided state (its LLX
-    // acquire-read that state), so the committer's allFrozen store below
-    // is visible to the all_frozen_ load in this branch.
-    if (r->info_.compare_exchange_strong(witnessed, u, mo::acq_rel,
-                                         mo::acquire)) {
-      // We won the install for (u, r): r's edge transfers from exp to the
-      // reference pre-counted above.
-      exp->release();
-    } else if (witnessed == u) {
-      // Another helper already froze r for U: drop the speculative
-      // reference and keep going.
-      u->release();
-    } else {
-      // r is frozen for some other SCX. If U already has allFrozen set, a
-      // helper finished freezing before r moved on, so U committed.
-      Stats::count_read();
-      // acquire: pairs with the committer's release store of all_frozen_
-      // (see the failure-order comment above for why it is visible).
-      if (u->all_frozen_.load(mo::acquire)) {
-        u->release();  // drop the speculative reference
-        return true;
-      }
-      Stats::count_write();
-      // release: pairs with LLX's acquire state read — a reader that sees
-      // Aborted is ordered after this helper's failed freeze attempt.
-      u->state_.store(ScxRecord::kAborted, mo::release);
-      // Speculative reference dropped only after the last write to u —
-      // if it is the final one, u goes to the limbo list right here.
-      u->release();
-      return false;
+    // install is itself ordered after U's decided state (its LLX
+    // acquire-read that state), so the committer's allFrozen store is
+    // visible to the state-word load below.
+    if (v[i].rec->info_.compare_exchange_strong(witnessed, me, mo::acq_rel,
+                                                mo::acquire) ||
+        witnessed == me) {
+      continue;  // frozen for U, by us or by another helper
     }
+    // r is frozen for some other SCX. If U already has allFrozen set, a
+    // helper finished freezing before r moved on, so U committed.
+    Stats::count_read();
+    // acquire: pairs with the committer's release allFrozen write (see
+    // the failure-order comment above for why it is visible).
+    const std::uint64_t now = u.word_.load(mo::acquire);
+    if (now >> 3 != seq) return false;  // decided; the slot moved on
+    if (now & ScxRecord::kAllFrozen) return true;
+    Stats::count_write();
+    // release: pairs with LLX's acquire state read — a reader that sees
+    // Aborted is ordered after this failed freeze attempt.
+    const std::uint64_t aborted = in_progress | ScxRecord::kAborted;
+    if (creator) {
+      u.word_.store(aborted, mo::release);
+    } else {
+      std::uint64_t e = in_progress;
+      u.word_.compare_exchange_strong(e, aborted, mo::release, mo::relaxed);
+    }
+    return false;
   }
   Stats::count_write();
   // release: orders the k winning/witnessed freezing CASes before the flag
-  // — a helper that acquire-reads true may conclude "U committed".
-  u->all_frozen_.store(true, mo::release);
-  for (std::size_t i = 0; i < u->k_; ++i) {
-    if (u->finalize_mask_ & (std::uint64_t{1} << i)) {
-      Stats::count_write();
-      // relaxed: the mark needs no edge of its own — it is ordered before
-      // the Committed state store by that store's release, which is the
-      // edge LLX's marked2 re-read consumes (Fig. 2's finalization gate).
-      u->v_[i]->marked_.store(true, mo::relaxed);
+  // — a helper that acquire-reads it may conclude "U committed".
+  if (creator) {
+    u.word_.store(frozen, mo::release);
+  } else {
+    std::uint64_t e = in_progress;
+    // relaxed failure: a decided or moved-on word just ends this helper.
+    if (!u.word_.compare_exchange_strong(e, frozen, mo::release,
+                                         mo::relaxed) &&
+        e != frozen) {
+      return e == committed;
     }
   }
-  std::uint64_t expected = u->old_;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (finalize_mask & (std::uint64_t{1} << i)) {
+      Stats::count_write();
+      // relaxed: the mark needs no edge of its own — it is ordered before
+      // the Committed state write by that write's release, which is the
+      // edge LLX's marked2 re-read consumes (Fig. 2's finalization gate).
+      v[i].rec->marked_.store(true, mo::relaxed);
+    }
+  }
+  std::uint64_t expected = old_val;
   Stats::count_cas();  // update CAS (the +1)
   // release success: publishes the fresh node's constructor writes before
   // its address becomes reachable (paired with the acquire traversal loads
   // in ds/ and LLX's acquire field loads). relaxed failure: a losing
   // helper learns nothing from fld's value.
-  u->fld_->compare_exchange_strong(expected, u->new_, mo::release,
-                                   mo::relaxed);
+  fld->compare_exchange_strong(expected, new_val, mo::release, mo::relaxed);
   Stats::count_write();
   // release: orders the R-set mark stores (and the update CAS) before the
   // state — LLX's acquire read of Committed therefore sees the marks
   // (the marked2 proof) and traversals that re-read fld see the update.
-  u->state_.store(ScxRecord::kCommitted, mo::release);
+  if (creator) {
+    u.word_.store(committed, mo::release);
+  } else {
+    std::uint64_t e = frozen;
+    u.word_.compare_exchange_strong(e, committed, mo::release, mo::relaxed);
+  }
   return true;
 }
 
-inline ScxRecord::~ScxRecord() {
-  for (std::size_t i = 0; i < acquired_; ++i) info_fields_[i]->release();
+// A helper's entry to Help(U) for the operation an info word names: copy U
+// out of its slot, then re-check that the slot still serves U in progress
+// (seqlock shape: the owner moves word_ to its next seq BEFORE rewriting
+// the fields, so a copy holding any field of a later operation fails the
+// re-check). A slot that moved on means U is decided: nothing to help.
+inline void detail_help(std::uint64_t info) {
+  ScxRecord& u = ScxRecord::of(info);
+  // acquire on every copy load: a value from a later operation's release
+  // field store carries that operation's seq bump into the re-check.
+  const std::size_t k = u.k_.load(mo::acquire);
+  LinkedLlx v[ScxRecord::kMaxV];
+  for (std::size_t i = 0; i < k; ++i) {
+    v[i].rec = u.v_[i].load(mo::acquire);
+    v[i].info = u.info_fields_[i].load(mo::acquire);
+  }
+  const std::uint64_t finalize_mask = u.finalize_mask_.load(mo::acquire);
+  std::atomic<std::uint64_t>* fld = u.fld_.load(mo::acquire);
+  const std::uint64_t old_val = u.old_.load(mo::acquire);
+  const std::uint64_t new_val = u.new_.load(mo::acquire);
+  // relaxed: the acquire loads above keep this re-read after them.
+  const std::uint64_t now = u.word_.load(mo::relaxed);
+  if (now >> 3 != ScxRecord::seq_of(info) ||
+      (now & 3) != ScxRecord::kInProgress) {
+    return;
+  }
+  detail_run(u, info, v, k, finalize_mask, fld, old_val, new_val,
+             /*creator=*/false);
 }
 
 // LLX(r) — paper Fig. 2.
@@ -304,8 +381,8 @@ inline ScxRecord::~ScxRecord() {
 // Preconditions:
 //   - The caller holds a reclamation Guard, and keeps holding it
 //     (reentrant nesting is fine) until after any SCX/VLX that consumes
-//     the returned link. The guard is what keeps both r and the witnessed
-//     descriptor alive across that window.
+//     the returned link. The guard is what keeps r alive across that
+//     window.
 //   - r was reached through the structure under that same guard (root,
 //     or loaded from a field/LLX snapshot of a record so reached). A
 //     pointer cached from before the guard began may already be freed.
@@ -328,13 +405,11 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
   // acquire: keeps the info/state reads below ordered after this read —
   // the FINALIZED verdict depends on marked1 preceding the rinfo read.
   const bool marked1 = r->marked_.load(mo::acquire);
-  // acquire: pairs with the freezing CAS's release install, making the
-  // descriptor's operation fields visible before rinfo is dereferenced.
-  ScxRecord* rinfo = r->info_.load(mo::acquire);
-  // acquire: a Committed read makes the R-set marks visible to marked2
-  // below (they precede the state's release store); it also opens the
-  // snapshot window — the field reads cannot move before it.
-  const int state = rinfo->state_.load(mo::acquire);
+  // acquire: pairs with the freezing CAS's release install, so the slot's
+  // seq bump for that operation is visible to the state read below; it
+  // also opens the snapshot window (the field reads cannot move before it).
+  const std::uint64_t rinfo = r->info_.load(mo::acquire);
+  const ScxRecord::State state = detail_state_of(rinfo);
   // Paper Fig. 2 reads the mark a SECOND time, after the state read, and
   // gates the snapshot on it. The re-read is load-bearing: Help() writes
   // the R-set marks after allFrozen but before state:=Committed, so a
@@ -344,7 +419,7 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
   // changes again) and commit a change hanging off a removed subtree —
   // e.g. double-retiring a node a tree delete already retired.
   // relaxed: ordered after the state read by its acquire; visibility of
-  // the marks comes from the state store's release (previous comment).
+  // the marks comes from the state write's release (previous comment).
   const bool marked2 = r->marked_.load(mo::relaxed);
 
   if (state == ScxRecord::kAborted ||
@@ -363,8 +438,8 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
     Stats::count_read(NumMut + 1);
     // relaxed: the acquire field loads above keep this re-read last; info
     // equality over the window proves no freeze (hence no field write)
-    // intervened — descriptor addresses cannot recur under our Guard, so
-    // pointer equality is change-detection, not ABA roulette.
+    // intervened — info words never recur, so equality is change
+    // detection, not ABA roulette.
     if (r->info_.load(mo::relaxed) == rinfo) {
       return LlxResult<NumMut>::ok(
           f, LinkedLlx{const_cast<DataRecord<NumMut>*>(r), rinfo});
@@ -373,23 +448,22 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
 
   // r is (or was) frozen. If its freezer finalized it, report FINALIZED;
   // otherwise help whoever holds it and report FAIL. FINALIZED uses the
-  // FIRST mark read (Fig. 2 line 8): marked1 was set before rinfo was
-  // read, so the finalizing descriptor is rinfo itself (or earlier) and
-  // its commit is what justifies the verdict. The marked1-false/
-  // marked2-true race therefore reports FAIL, and the caller's retry
-  // sees FINALIZED.
-  bool committed = state == ScxRecord::kCommitted;
+  // FIRST mark read (Fig. 2 line 8): marks are written only after
+  // allFrozen, so marked1 means a committed SCX finalized r — rinfo names
+  // it (a finalized record's info never changes again), and helping it
+  // first completes its update. The marked1-false/marked2-true race
+  // therefore reports FAIL, and the caller's retry sees FINALIZED.
   if (state == ScxRecord::kInProgress) {
     Stats::helped();
-    committed = detail_help(rinfo);
+    detail_help(rinfo);
   }
-  if (committed && marked1) return LlxResult<NumMut>::finalized();
+  if (marked1) return LlxResult<NumMut>::finalized();
 
   // acquire ×2: same install/decide edges as above — the helper must see
-  // the current freezer's operation fields before running Help on it.
-  ScxRecord* cur = r->info_.load(mo::acquire);
+  // the current freezer's seq bump before running Help on it.
+  const std::uint64_t cur = r->info_.load(mo::acquire);
   Stats::count_read(2);
-  if (cur->state_.load(mo::acquire) == ScxRecord::kInProgress) {
+  if (detail_state_of(cur) == ScxRecord::kInProgress) {
     Stats::helped();
     detail_help(cur);
   }
@@ -401,10 +475,6 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
 // since this thread's LLX of it; on commit, writes `new_val` into fld and
 // finalizes the records selected by `finalize_mask`. A false return wrote
 // nothing (any freezes it won were undone by helpers observing the abort).
-//
-// The Reclaim policy supplies the descriptor's storage and its eventual
-// retirement path (reclaim/record_manager.h); EbrManager reproduces the
-// seed's new/epoch-delete behavior exactly.
 //
 // Preconditions (the paper's §3 constraints plus this repo's memory rules):
 //   - v[0..k) are links from THIS thread's LLXs, all taken and still
@@ -420,45 +490,45 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
 //   - Records in R stay permanently frozen; only the committing thread
 //     may retire them (plus nodes made unreachable by the commit), via
 //     retire_record, after scx returns true.
-template <class Reclaim = EbrManager>
-bool scx(const LinkedLlx* v, std::size_t k, std::uint64_t finalize_mask,
-         std::atomic<std::uint64_t>* fld, std::uint64_t old_val,
-         std::uint64_t new_val) {
+inline bool scx(const LinkedLlx* v, std::size_t k, std::uint64_t finalize_mask,
+                std::atomic<std::uint64_t>* fld, std::uint64_t old_val,
+                std::uint64_t new_val) {
   assert(k >= 1 && k <= ScxRecord::kMaxV);
   Stats::scx_call();
-  ScxRecord* u = Reclaim::template alloc_desc<ScxRecord>();
-  u->reclaim_retire_ = [](ScxRecord* d) {
-    Reclaim::template retire_desc<ScxRecord>(d);
-  };
-  u->k_ = k;
-  u->finalize_mask_ = finalize_mask;
-  u->fld_ = fld;
-  u->old_ = old_val;
-  u->new_ = new_val;
+  const std::size_t slot = detail_my_scx_slot();
+  ScxRecord& u = detail_scx_slots[slot];
+  // relaxed: only the owner moves its slot's seq (a previous owner's
+  // reached us through claim()'s acquire), and helpers' CASes keep it.
+  const std::uint64_t seq = (u.word_.load(mo::relaxed) >> 3) + 1;
+  // release: this slot's previous operation is decided and complete
+  // (marks, update CAS) before its seq moves on, so a reader that
+  // acquire-reads the new seq and judges that operation decided
+  // (detail_state_of) also sees its marks.
+  u.word_.store(ScxRecord::state_word(seq, ScxRecord::kInProgress),
+                mo::release);
+  // release ×(2k+5): the seqlock writer side — each store keeps the seq
+  // bump above ordered before it, so a stale helper that copies any of
+  // these values fails its re-check. The first freezing CAS publishes
+  // them to helpers of this operation.
+  u.k_.store(k, mo::release);
+  u.finalize_mask_.store(finalize_mask, mo::release);
+  u.fld_.store(fld, mo::release);
+  u.old_.store(old_val, mo::release);
+  u.new_.store(new_val, mo::release);
   for (std::size_t i = 0; i < k; ++i) {
-    u->v_[i] = v[i].rec;
-    u->info_fields_[i] = v[i].info;
-    if (!v[i].info->try_acquire()) {
-      // v[i].info already hit zero references, so v[i].rec has been
-      // re-frozen since the LLX: this SCX must fail. u was never
-      // published, so it can be reclaimed in place (releasing the
-      // references acquired so far).
-      u->acquired_ = i;
-      Reclaim::template dealloc_desc<ScxRecord>(u);
-      Stats::scx_failed();
-      return false;
-    }
-    u->acquired_ = i + 1;
+    u.v_[i].store(v[i].rec, mo::release);
+    u.info_fields_[i].store(v[i].info, mo::release);
   }
-  const bool ok = detail_help(u);
-  u->release();  // creator's reference
+  const bool ok = detail_run(u, ScxRecord::info_word(slot, seq), v, k,
+                             finalize_mask, fld, old_val, new_val,
+                             /*creator=*/true);
   if (!ok) Stats::scx_failed();
   return ok;
 }
 
 // VLX(V) — k shared reads (claim C-C): each record is unchanged since its
-// LLX iff its info field still names the linked descriptor. Same
-// preconditions as scx(): same-thread links, one continuous Guard.
+// LLX iff its info field still holds the linked word. Same preconditions
+// as scx(): same-thread links, one continuous Guard.
 inline bool vlx(const LinkedLlx* v, std::size_t k) {
   for (std::size_t i = 0; i < k; ++i) {
     Stats::count_read();
@@ -491,8 +561,8 @@ void retire_record(T* r) {
 // (the tentpole seam: structures and the ScxOp builder go through this,
 // so swapping EbrManager/LeakyManager/PoolManager touches no structure
 // code). The llx/scx/vlx algorithms are policy-independent; what the
-// domain routes is every allocation and every retirement: Data-records
-// via make_record/retire_record/reclaim_now, descriptors inside scx().
+// domain routes is every Data-record allocation and retirement, via
+// make_record/retire_record/reclaim_now.
 template <class Reclaim = EbrManager>
 struct LlxScxDomain {
   static_assert(RecordManager<Reclaim>);
@@ -524,7 +594,7 @@ struct LlxScxDomain {
                   std::uint64_t finalize_mask,
                   std::atomic<std::uint64_t>* fld, std::uint64_t old_val,
                   std::uint64_t new_val) {
-    return llxscx::scx<Reclaim>(v, k, finalize_mask, fld, old_val, new_val);
+    return llxscx::scx(v, k, finalize_mask, fld, old_val, new_val);
   }
   static bool vlx(const LinkedLlx* v, std::size_t k) {
     return llxscx::vlx(v, k);

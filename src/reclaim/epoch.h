@@ -3,10 +3,10 @@
 // The paper's implementation leans on a garbage collector ("in other
 // languages, such as C++, memory management is an issue" — §6). This repo
 // substitutes classic EBR: threads pin the global epoch while they may hold
-// references into a structure; removed Data-records and displaced
-// SCX-records go onto per-thread limbo lists stamped with the epoch at
-// retirement, and a node is freed once every pinned thread holds a
-// reservation strictly newer than that stamp.
+// references into a structure; removed Data-records go onto per-thread
+// limbo lists stamped with the epoch at retirement, and a node is freed
+// once every pinned thread holds a reservation strictly newer than that
+// stamp.
 //
 // Guards are reentrant (the multiset takes one per operation, and benches
 // often hold an outer one around a batch); only the outermost guard
@@ -169,8 +169,7 @@ class Epoch {
   // unpinned. Preconditions: p is unreachable from the structure's roots
   // (no NEW guard can find it), and exactly one thread retires it, exactly
   // once. The caller may still hold a guard — retirement is about future
-  // readers, not the current one. Deleters may themselves retire
-  // (descriptor chains); nested scans are suppressed, not recursive.
+  // readers, not the current one. Deleters must not retire.
   template <typename T>
   static void retire(T* p) {
     retire_raw(p, [](void* q) { delete static_cast<T*>(q); });
@@ -216,11 +215,10 @@ class Epoch {
   }
 
   // Free every node in the current domain whose grace period has elapsed,
-  // advancing the epoch as needed. With no live guards on the domain this
-  // empties all its limbo lists (freeing a node may retire further nodes —
-  // e.g. a Data-record releasing its SCX-record — so it loops to a fixed
-  // point). Test/bench teardown only: it walks every thread record, so it
-  // must not race with concurrent retire-heavy work on the same domain.
+  // advancing the epoch first. With no live guards on the domain this
+  // empties all its limbo lists. Test/bench teardown only: it walks every
+  // thread record, so it must not race with concurrent retire-heavy work
+  // on the same domain.
   static void drain_all_for_testing() { drain_state(current_state()); }
 
   static std::uint64_t total_freed() {
@@ -407,31 +405,22 @@ class Epoch {
   }
 
   static void drain_state(State& s) {
-    // Deleters may re-enter retire() (descriptor chains); scope the drained
-    // domain so those retires land back in `s`, not the caller's current
-    // domain.
-    State*& cur = tls_state();
-    State* prev = cur;
-    cur = &s;
     // The calling thread's buffered retirees for this domain must join the
     // limbo lists or the drain-to-zero contract breaks for retire_buffered
     // users (other threads' buffers flush at their Handle destructors).
+    // handle() resolves the CURRENT domain, so scope `s` for the lookup.
+    State*& cur = tls_state();
+    State* prev = cur;
+    cur = &s;
     publish_pending(handle());
-    for (;;) {
-      s.global.fetch_add(1, std::memory_order_seq_cst);
-      std::uint64_t freed_this_pass = 0;
-      for (ThreadRec* rec : all_recs(s)) freed_this_pass += scan_one(s, rec);
-      if (freed_this_pass == 0) break;
-    }
     cur = prev;
+    s.global.fetch_add(1, std::memory_order_seq_cst);
+    for (ThreadRec* rec : all_recs(s)) scan_one(s, rec);
   }
 
   // Moves `rec`'s expired nodes out under its lock, then frees them with no
-  // lock held (a deleter may re-enter retire_raw on this thread's own rec).
-  static std::uint64_t scan_one(State& s, ThreadRec* rec) {
-    thread_local bool scanning = false;
-    if (scanning) return 0;  // deleter re-entered retire(); skip nested scan
-    scanning = true;
+  // lock held.
+  static void scan_one(State& s, ThreadRec* rec) {
     const std::uint64_t min_res = min_reservation(s);
     std::vector<Retired> expired;
     {
@@ -449,8 +438,6 @@ class Epoch {
     for (const Retired& r : expired) r.del(r.p);
     s.outstanding.fetch_sub(expired.size(), std::memory_order_relaxed);
     s.total_freed.fetch_add(expired.size(), std::memory_order_relaxed);
-    scanning = false;
-    return expired.size();
   }
 };
 

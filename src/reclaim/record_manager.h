@@ -11,13 +11,13 @@
 // A RecordManager provides:
 //
 //   M::Guard            RAII read reservation. Every manager here uses
-//                       Epoch::Guard — even the leaky one — because SCX
-//                       descriptors are always epoch-reclaimed and helpers
-//                       dereference them under the same guard. A guard
-//                       pins the epoch for EVERY thread's limbo, so
-//                       long-running walks (a whole-table size() or
-//                       occupancy scan) must re-enter a fresh Guard per
-//                       segment rather than hold one across the walk —
+//                       Epoch::Guard — even the leaky one, whose guard
+//                       protects nothing, so the policies differ only in
+//                       what retire() does. A guard pins the epoch for
+//                       EVERY thread's limbo, so long-running walks (a
+//                       whole-table size() or occupancy scan) must
+//                       re-enter a fresh Guard per segment rather than
+//                       hold one across the walk —
 //                       otherwise one reader stalls all reclamation
 //                       (pinned by test_record_manager's
 //                       walk-does-not-block-drain case).
@@ -31,16 +31,6 @@
 //   M::dealloc(T*)      destroy a node that was NEVER published (an
 //                       aborted op's fresh allocation, or quiescent
 //                       teardown): no grace period needed.
-//   M::alloc_desc<T> /  the same three verbs for SCX descriptors. Split
-//   M::retire_desc /    out because descriptor reclamation must ALWAYS be
-//   M::dealloc_desc     grace-safe and eventual — helpers dereference
-//                       descriptors under guards, and the refcount edges
-//                       (DESIGN.md §2) assume a dead descriptor is
-//                       eventually destroyed. A policy may redirect their
-//                       storage (PoolManager recycles them) but never
-//                       drop them: LeakyManager's "never free" semantics
-//                       apply to Data-records only, which is what the E8
-//                       ablation is about.
 //   M::drain()          test/teardown: reclaim everything reclaimable.
 //   M::stats()          this thread's ReclaimStats (plain thread-local
 //                       counters — no shared steps, so policy accounting
@@ -125,9 +115,6 @@ concept RecordManager = requires(int* p) {
   { M::template alloc<int>(0) } -> std::same_as<int*>;
   { M::template retire<int>(p) };
   { M::template dealloc<int>(p) };
-  { M::template alloc_desc<int>(0) } -> std::same_as<int*>;
-  { M::template retire_desc<int>(p) };
-  { M::template dealloc_desc<int>(p) };
   { M::drain() };
   { M::stats() } -> std::same_as<ReclaimStats&>;
   { M::domain_stats() } -> std::same_as<DomainReclaimStats>;
@@ -159,20 +146,6 @@ struct EbrManager {
     delete p;
   }
 
-  // Descriptors take the identical path.
-  template <class T, class... Args>
-  static T* alloc_desc(Args&&... args) {
-    return alloc<T>(std::forward<Args>(args)...);
-  }
-  template <class T>
-  static void retire_desc(T* p) {
-    retire(p);
-  }
-  template <class T>
-  static void dealloc_desc(T* p) {
-    dealloc(p);
-  }
-
   static void drain() { Epoch::drain_all_for_testing(); }
 
   static DomainReclaimStats domain_stats() {
@@ -190,9 +163,9 @@ struct EbrManager {
 // retire() drops the node on the floor, so a long-running process grows
 // without bound — the point of the ablation is to measure what that buys.
 // The §3 usage assumption (a retired address never re-enters a mutable
-// field) holds trivially: leaked addresses are never recycled. Guards are
-// still epoch guards because descriptors (and the helpers reading them)
-// remain epoch-reclaimed regardless of the node policy.
+// field) holds trivially: leaked addresses are never recycled. Its guard
+// is still an epoch guard, so the E8 and layer-ladder comparisons price
+// the frees alone.
 struct LeakyManager {
   static constexpr const char* kName = "leaky";
   using Guard = Epoch::Guard;
@@ -212,26 +185,6 @@ struct LeakyManager {
   template <class T>
   static void dealloc(T* p) {
     // Never published, so the leak rationale does not apply: free it.
-    ++stats().deallocs;
-    delete p;
-  }
-
-  // Descriptors must NOT leak (interface comment above): the ablation
-  // withholds reclamation from Data-records only, so descriptors keep the
-  // default epoch path — which is what lets E8 show leaked nodes pinning
-  // their final descriptors transitively.
-  template <class T, class... Args>
-  static T* alloc_desc(Args&&... args) {
-    ++stats().allocs;
-    return new T(std::forward<Args>(args)...);
-  }
-  template <class T>
-  static void retire_desc(T* p) {
-    ++stats().retires;
-    Epoch::retire(p);
-  }
-  template <class T>
-  static void dealloc_desc(T* p) {
     ++stats().deallocs;
     delete p;
   }
@@ -258,13 +211,12 @@ struct LeakyManager {
 // design) then stops paying malloc/free on the steady state.
 //
 // Lists are keyed by SIZE CLASS, not by type (DESIGN.md §14): 16-byte
-// steps up to 256 bytes, then power-of-two classes up to 16 KiB (wide
-// enough for a full kMaxV=48 SCX descriptor). A block allocated for any
-// type in a class can be reused by any other type in that class — BST
-// internal nodes recycle into Patricia leaves, retired descriptors into
-// hashmap chain nodes — so mixed-structure churn shares one pool instead
-// of fragmenting across per-type lists. Types larger than the biggest
-// class fall back to plain new/delete (still grace-deferred).
+// steps up to 256 bytes, which covers every node type in ds/. A block
+// allocated for any type in a class can be reused by any other type in
+// that class — BST internal nodes recycle into Patricia leaves — so
+// mixed-structure churn shares one pool instead of fragmenting across
+// per-type lists. Larger types fall back to plain new/delete (still
+// grace-deferred).
 //
 // Retirement rides Epoch::retire_buffered: expired retirees move to the
 // free lists in chunks with ONE epoch check per chunk, amortizing the
@@ -279,23 +231,18 @@ struct PoolManager {
   static constexpr const char* kName = "pool";
   using Guard = Epoch::Guard;
 
-  // 16-byte-granularity classes 0..15 cover 16..256 bytes; doubling
-  // classes 16..21 cover 512..16384. Returns kNoSizeClass above that.
-  static constexpr std::size_t kNumSizeClasses = 22;
+  // 16-byte-granularity classes 0..15 cover 16..256 bytes. Returns
+  // kNoSizeClass above that.
+  static constexpr std::size_t kNumSizeClasses = 16;
   static constexpr std::size_t kNoSizeClass = ~std::size_t{0};
 
   static constexpr std::size_t size_class_of(std::size_t bytes) {
     if (bytes == 0) return 0;
     if (bytes <= 256) return (bytes + 15) / 16 - 1;
-    std::size_t cls = 16, cap = 512;
-    while (cap < bytes) {
-      cap <<= 1;
-      if (++cls >= kNumSizeClasses) return kNoSizeClass;
-    }
-    return cls;
+    return kNoSizeClass;
   }
   static constexpr std::size_t size_class_bytes(std::size_t cls) {
-    return cls < 16 ? (cls + 1) * 16 : std::size_t{512} << (cls - 16);
+    return (cls + 1) * 16;
   }
 
   template <class T, class... Args>
@@ -339,21 +286,6 @@ struct PoolManager {
     ++stats().deallocs;
     p->~T();
     bank<T>(p);
-  }
-
-  // Descriptors are recycled exactly like nodes — still grace-safe, so
-  // the interface's "never drop a descriptor" rule holds.
-  template <class T, class... Args>
-  static T* alloc_desc(Args&&... args) {
-    return alloc<T>(std::forward<Args>(args)...);
-  }
-  template <class T>
-  static void retire_desc(T* p) {
-    retire(p);
-  }
-  template <class T>
-  static void dealloc_desc(T* p) {
-    dealloc(p);
   }
 
   static void drain() { Epoch::drain_all_for_testing(); }

@@ -10,9 +10,10 @@
 //
 // Each shard owns its own reclamation domain (Epoch::Domain): the
 // shard's engine is constructed, operated, and destroyed under an
-// Epoch::DomainScope for that domain, so every record the engine
-// allocates or retires — Data-records AND the SCX descriptors the
-// helpers chase — lives in the shard's own epoch. That makes shards
+// Epoch::DomainScope for that domain, so every Data-record the engine
+// allocates or retires lives in the shard's own epoch. (SCX descriptors
+// are not per shard: each thread reuses one slot for every SCX it runs,
+// whatever the shard, and no descriptor is ever retired.) That makes shards
 // independent failure domains for reclamation: a reader stalled inside
 // shard 3 pins shard 3's limbo only, while shards 0–2 keep draining
 // (asserted by test_sharded_map). Cross-shard helping cannot smuggle a

@@ -32,7 +32,7 @@ struct StepCounts {
   std::uint64_t cas = 0;         // single-word CAS attempts
   std::uint64_t shared_reads = 0;
   std::uint64_t shared_writes = 0;  // plain (non-CAS) shared writes
-  std::uint64_t allocations = 0;    // Data-records + descriptors constructed
+  std::uint64_t allocations = 0;    // Data-records constructed
 
   StepCounts& operator+=(const StepCounts& o) {
     llx_calls += o.llx_calls;

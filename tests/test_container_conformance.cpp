@@ -44,6 +44,10 @@
 
 #include "tests/test_common.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace llxscx {
 namespace {
 
@@ -248,6 +252,63 @@ TYPED_TEST(ContainerConformance, StressMatchesLockedOracle) {
   }
   Epoch::drain_all_for_testing();
   EXPECT_EQ(Epoch::outstanding(), 0u);
+}
+
+#if defined(__GLIBC__)
+std::size_t heap_in_use() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+#endif
+
+// Live memory under churn is proportional to live keys: two equal rounds
+// of single-thread insert/erase churn at a constant size, each followed by
+// a drain, must leave the in-use heap where the first round left it. (A
+// descriptor scheme whose records keep earlier operations' descriptors
+// alive grows it by hundreds of bytes per update.)
+TYPED_TEST(ContainerConformance, ChurnHeapStaysBoundedByLiveKeys) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "needs glibc mallinfo2";
+#else
+  {
+    // Sanitizer allocators bypass the glibc arena mallinfo2 reports on.
+    const std::size_t before = heap_in_use();
+    std::vector<char> probe(1 << 16, 1);
+    if (heap_in_use() < before + probe.size()) {
+      GTEST_SKIP() << "allocator not visible to mallinfo2";
+    }
+  }
+  constexpr std::uint64_t kLive = 512;
+  constexpr std::uint64_t kSteps = 2048;  // per round; 2 updates per step
+  // A bijection on [0, 2^20) that scatters the sliding window's keys, so
+  // the unbalanced trees stay shallow.
+  const auto key = [](std::uint64_t i) {
+    return 1 + ((i * 0x9E3779B1u) & 0xFFFFF);
+  };
+  TypeParam c;
+  std::uint64_t next = 0;
+  for (; next < kLive; ++next) ASSERT_TRUE(c.insert(key(next), 1));
+  const auto round = [&] {
+    // The live set is the window [next - kLive, next): erase its oldest
+    // key, insert the next one.
+    for (std::uint64_t s = 0; s < kSteps; ++s, ++next) {
+      ASSERT_TRUE(c.erase(key(next - kLive)));
+      ASSERT_TRUE(c.insert(key(next), 1));
+    }
+    ASSERT_EQ(drained_outstanding(c), 0u);
+  };
+  round();
+  const std::size_t after_first = heap_in_use();
+  round();
+  const std::size_t after_second = heap_in_use();
+  EXPECT_EQ(c.size(), kLive);
+  const double growth_per_update =
+      (static_cast<double>(after_second) - static_cast<double>(after_first)) /
+      static_cast<double>(2 * kSteps);
+  EXPECT_LT(growth_per_update, 32.0)
+      << "in-use heap grew " << growth_per_update
+      << " B per update at a constant " << kLive << " live keys";
+#endif
 }
 
 // --- range / scan conformance (DESIGN.md §15) ------------------------------

@@ -66,7 +66,7 @@ TEST(Stack, PushPopScxShapesArePinned) {
   EXPECT_EQ(d.scx_fail, 0u);
   EXPECT_EQ(d.cas, 2u) << "push: k+1 CAS with k=1";
   EXPECT_EQ(d.shared_writes, 2u) << "push: f+2 writes with f=0";
-  EXPECT_EQ(d.allocations, 2u) << "1 fresh node + 1 SCX-record";
+  EXPECT_EQ(d.allocations, 1u) << "1 fresh node";
 
   d = steps_of([&] { ASSERT_TRUE(s.pop().has_value()); });
   EXPECT_EQ(d.llx_calls, 3u);
@@ -74,7 +74,7 @@ TEST(Stack, PushPopScxShapesArePinned) {
   EXPECT_EQ(d.scx_fail, 0u);
   EXPECT_EQ(d.cas, 4u) << "pop: k+1 CAS with k=3";
   EXPECT_EQ(d.shared_writes, 4u) << "pop: f+2 writes with f=2";
-  EXPECT_EQ(d.allocations, 2u) << "1 successor copy + 1 SCX-record";
+  EXPECT_EQ(d.allocations, 1u) << "1 successor copy";
   Epoch::drain_all_for_testing();
 }
 
@@ -150,10 +150,10 @@ TEST(Queue, DequeueReturnsElementsInFifoOrder) {
 }
 
 // DESIGN.md §9: enqueue is SCX(V=⟨last,tail⟩, R=⟨tail⟩) — k=2 ⇒ 3 CAS,
-// f=1 ⇒ 3 writes, 3 allocs (node + fresh tail + SCX-record); dequeue is
+// f=1 ⇒ 3 writes, 2 allocs (node + fresh tail); dequeue is
 // SCX(V=⟨head,first⟩, R=⟨first⟩) with the successor HANDED OFF, not
-// copied — k=2 ⇒ 3 CAS, f=1 ⇒ 3 writes, and only the SCX-record is
-// allocated. On top of the SCX, the tail hint costs enqueue exactly one
+// copied — k=2 ⇒ 3 CAS, f=1 ⇒ 3 writes, and nothing is allocated (the
+// SCX reuses its thread's descriptor slot). On top of the SCX, the tail hint costs enqueue exactly one
 // publish CAS and dequeue exactly one invalidation write — pinned here so
 // the hint can never silently grow the shapes; the SCX itself staying
 // k=2 is pinned by the llx count (2 = the V-set) and the 3-CAS/3-write
@@ -171,7 +171,7 @@ TEST(Queue, EnqueueDequeueScxShapesArePinned) {
   EXPECT_EQ(d.scx_fail, 0u);
   EXPECT_EQ(d.cas, 4u) << "enqueue: k+1 CAS with k=2, + 1 hint-publish CAS";
   EXPECT_EQ(d.shared_writes, 3u) << "enqueue: f+2 writes with f=1";
-  EXPECT_EQ(d.allocations, 3u) << "node + fresh tail + SCX-record";
+  EXPECT_EQ(d.allocations, 2u) << "node + fresh tail";
 
   d = steps_of([&] { ASSERT_TRUE(q.dequeue().has_value()); });
   EXPECT_EQ(d.llx_calls, 2u);
@@ -180,7 +180,7 @@ TEST(Queue, EnqueueDequeueScxShapesArePinned) {
   EXPECT_EQ(d.cas, 3u) << "dequeue: k+1 CAS with k=2";
   EXPECT_EQ(d.shared_writes, 4u)
       << "dequeue: f+2 writes with f=1, + 1 hint-invalidate write";
-  EXPECT_EQ(d.allocations, 1u) << "handoff: only the SCX-record";
+  EXPECT_EQ(d.allocations, 0u) << "handoff: nothing allocated";
   Epoch::drain_all_for_testing();
 }
 
@@ -348,7 +348,7 @@ TEST(HashMap, BucketScxShapesArePinned) {
   EXPECT_EQ(d.scx_fail, 0u);
   EXPECT_EQ(d.cas, 2u) << "upsert-absent: k+1 CAS with k=1";
   EXPECT_EQ(d.shared_writes, 2u) << "upsert-absent: f+2 writes with f=0";
-  EXPECT_EQ(d.allocations, 2u) << "1 fresh node + 1 SCX-record";
+  EXPECT_EQ(d.allocations, 1u) << "1 fresh node";
 
   d = steps_of([&] { ASSERT_FALSE(m.upsert(5, 51)); });
   EXPECT_EQ(d.llx_calls, 2u);
@@ -356,7 +356,7 @@ TEST(HashMap, BucketScxShapesArePinned) {
   EXPECT_EQ(d.scx_fail, 0u);
   EXPECT_EQ(d.cas, 3u) << "upsert-present: k+1 CAS with k=2";
   EXPECT_EQ(d.shared_writes, 3u) << "upsert-present: f+2 writes with f=1";
-  EXPECT_EQ(d.allocations, 2u) << "1 replacement node + 1 SCX-record";
+  EXPECT_EQ(d.allocations, 1u) << "1 replacement node";
 
   d = steps_of([&] { ASSERT_TRUE(m.erase(5)); });
   EXPECT_EQ(d.llx_calls, 3u);
@@ -364,7 +364,7 @@ TEST(HashMap, BucketScxShapesArePinned) {
   EXPECT_EQ(d.scx_fail, 0u);
   EXPECT_EQ(d.cas, 4u) << "erase: k+1 CAS with k=3";
   EXPECT_EQ(d.shared_writes, 4u) << "erase: f+2 writes with f=2";
-  EXPECT_EQ(d.allocations, 2u) << "1 successor copy + 1 SCX-record";
+  EXPECT_EQ(d.allocations, 1u) << "1 successor copy";
   Epoch::drain_all_for_testing();
 }
 

@@ -1,14 +1,18 @@
-// Single-thread (plus one helping-correctness) unit tests pinning down the
+// Single-thread (plus helping-correctness) unit tests pinning down the
 // LLX/SCX invariants listed in DESIGN.md §7: snapshot semantics, commit,
-// FINALIZED, conflict failure, VLX, and the paper's uncontended step
-// counts (claim C-A).
+// FINALIZED, conflict failure, VLX, the paper's uncontended step counts
+// (claim C-A), and the per-thread descriptor slots reused under sequence
+// numbers (DESIGN.md §2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "llxscx/llx_scx.h"
+#include "util/barrier.h"
 #include "util/stats.h"
 
 namespace llxscx {
@@ -164,6 +168,101 @@ TEST(LlxScx, ConcurrentIncrementsAreExact) {
   for (auto& th : pool) th.join();
   EXPECT_EQ(r.mut(0).load(), successes.load());
   EXPECT_GT(successes.load(), 0u);
+}
+
+// Threads that come and go one after another reuse one descriptor slot,
+// and the seq lives in the slot: every info word an LLX observes is new,
+// and the slot table never grows past the live threads.
+TEST(LlxScx, ShortLivedThreadsReuseSlotsWithFreshInfoWords) {
+  constexpr int kThreads = 1000;
+  Rec r(0, 0);
+  const std::size_t base = ScxRecord::slots_in_use();
+  std::vector<std::uint64_t> seen;
+  std::size_t max_in_use = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread th([&] {
+      Epoch::Guard g;
+      auto l = llx(&r);
+      ASSERT_TRUE(l.ok());
+      seen.push_back(l.link().info);
+      const LinkedLlx v[1] = {l.link()};
+      ASSERT_TRUE(scx(v, 1, 0, &r.mut(0), l.field(0), l.field(0) + 1));
+      max_in_use = std::max(max_in_use, ScxRecord::slots_in_use());
+    });
+    th.join();
+  }
+  EXPECT_EQ(r.mut(0).load(), static_cast<std::uint64_t>(kThreads));
+  const std::set<std::uint64_t> distinct(seen.begin(), seen.end());
+  EXPECT_EQ(distinct.size(), seen.size()) << "an info word recurred";
+  EXPECT_LE(max_in_use, base + 1) << "slots were not returned at thread exit";
+  EXPECT_EQ(ScxRecord::slots_in_use(), base);
+}
+
+// More threads than cores on identical k=3 V-sets: every SCX conflicts with
+// every other, helpers are routinely preempted holding copies of operations
+// their creators have long since decided and replaced, and the final value
+// must still equal the number of successful SCXs.
+TEST(LlxScx, OversubscribedIdenticalVSetsAreExact) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 20000;
+  Rec a(0, 0), b(0, 0), c(0, 0);
+  std::atomic<std::uint64_t> successes{0};
+  SpinBarrier start(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&] {
+      start.arrive_and_wait();
+      std::uint64_t mine = 0;
+      for (int i = 0; i < kPerThread; ++i) {
+        Epoch::Guard g;
+        auto la = llx(&a);
+        auto lb = llx(&b);
+        auto lc = llx(&c);
+        if (!la.ok() || !lb.ok() || !lc.ok()) continue;
+        const LinkedLlx v[3] = {la.link(), lb.link(), lc.link()};
+        if (scx(v, 3, 0, &a.mut(0), la.field(0), la.field(0) + 1)) ++mine;
+      }
+      successes.fetch_add(mine);
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(a.mut(0).load(), successes.load());
+  EXPECT_GT(successes.load(), 0u);
+}
+
+// A helper that copied operation s and stalled until the slot's owner moved
+// on to s+1 must not write the slot: its allFrozen and commit writes are
+// CASes conditioned on s. (Deterministic form of the race the oversubscribed
+// test exercises by chance.)
+TEST(LlxScx, StaleHelperCannotWriteTheSlotsNextOperation) {
+  Epoch::Guard g;
+  Rec r(1, 0);
+  auto l = llx(&r);
+  ASSERT_TRUE(l.ok());
+  const LinkedLlx v[1] = {l.link()};
+  ASSERT_TRUE(scx(v, 1, 0, &r.mut(0), 1, 2));
+  const std::uint64_t done = r.info_.load();  // operation s, committed
+  ScxRecord& u = ScxRecord::of(done);
+  const std::uint64_t next_seq = ScxRecord::seq_of(done) + 1;
+  const std::uint64_t next =
+      ScxRecord::state_word(next_seq, ScxRecord::kInProgress);
+  u.word_.store(next);  // the owner's operation s+1 is now in progress
+  detail_run(u, done, v, 1, 0, &r.mut(0), 1, 2, /*creator=*/false);
+  EXPECT_EQ(u.word_.load(), next) << "a stale helper wrote the slot";
+  EXPECT_EQ(r.mut(0).load(), 2u);
+  u.word_.store(ScxRecord::state_word(
+      next_seq, ScxRecord::kAllFrozen | ScxRecord::kCommitted));
+}
+
+TEST(LlxScxDeathTest, ExhaustingTheSlotTableAbortsNamingTheCap) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        for (std::size_t i = 0; i <= ScxRecord::kMaxSlots; ++i) {
+          ScxRecord::claim();
+        }
+      },
+      "kMaxSlots = 1024");
 }
 
 }  // namespace
