@@ -9,7 +9,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +16,6 @@
 #include <functional>
 #include <initializer_list>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/barrier.h"
@@ -64,36 +62,23 @@ struct PhaseResult {
 };
 
 // Runs `worker(thread_index, stop_flag)` on `threads` threads for
-// `phase_millis()` ms after a common start line; the worker returns its
-// completed-operation count. Timing convention: `seconds` spans start line
-// to the stop-flag flip — NOT to the joins — so each worker's post-stop
-// drain (its final in-flight op and stats snapshot) can't inflate the
-// denominator and deflate the reported ops/s.
+// `phase_millis()` ms through run_timed_phase (util/barrier.h, which owns
+// the start line, stop flag and timing convention); the worker returns its
+// completed-operation count. Step counters reset before the start line and
+// are snapshotted after the worker returns.
 inline PhaseResult run_phase(
     int threads,
     const std::function<std::uint64_t(int, const std::atomic<bool>&)>& worker) {
-  SpinBarrier barrier(threads + 1);
-  std::atomic<bool> stop{false};
   std::vector<std::uint64_t> ops(threads, 0);
   std::vector<StepCounts> steps(threads);
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      Stats::reset_mine();
-      barrier.arrive_and_wait();
+  PhaseResult r;
+  r.seconds = run_timed_phase(threads, phase_millis(), [&](int t) {
+    Stats::reset_mine();
+    return [&, t](const std::atomic<bool>& stop) {
       ops[t] = worker(t, stop);
       steps[t] = Stats::my_snapshot();
-    });
-  }
-  barrier.arrive_and_wait();
-  const auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(phase_millis()));
-  stop.store(true);
-  const auto end = std::chrono::steady_clock::now();
-  for (auto& th : pool) th.join();
-
-  PhaseResult r;
-  r.seconds = std::chrono::duration<double>(end - start).count();
+    };
+  });
   for (int t = 0; t < threads; ++t) {
     r.total_ops += ops[t];
     r.steps += steps[t];

@@ -1,12 +1,15 @@
-// Sense-reversing spin barrier for lining up benchmark/test worker threads
-// on a common start line (DESIGN.md §3). Spinning (rather than a condvar)
-// keeps the release jitter well under the microsecond scale the timed
-// phases in bench/bench_common.h care about.
+// Sense-reversing spin barrier, and the one timed-phase runner built on it
+// (DESIGN.md §3) that every bench, the workload driver and the test
+// stresses share. Spinning (rather than a condvar) keeps the start-line
+// release jitter well under the microsecond scale the timed phases care
+// about.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
+#include <vector>
 
 namespace llxscx {
 
@@ -37,5 +40,37 @@ class SpinBarrier {
   std::atomic<int> arrived_{0};
   std::atomic<std::uint64_t> sense_{0};
 };
+
+// Runs one timed phase on `threads` workers and returns its length in
+// seconds. Worker t first calls setup(t) — untimed, on its own thread —
+// which returns the body; all workers then line up on a common start line
+// with the caller, and each runs body(stop) until it sees the stop flag,
+// which the caller flips `millis` ms after the start line.
+//
+// Timing convention: the result spans the start line to the stop-flag
+// flip. Setup (key streams, buffers, counter resets) is before the start
+// line and each worker's post-stop drain (its last in-flight op, stats
+// snapshot) is after the flip, so neither can deflate a reported ops/s.
+template <class Setup>
+double run_timed_phase(int threads, int millis, Setup setup) {
+  SpinBarrier start_line(threads + 1);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      auto body = setup(t);
+      start_line.arrive_and_wait();
+      body(stop);
+    });
+  }
+  start_line.arrive_and_wait();
+  const auto start = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(millis));
+  stop.store(true);
+  const auto end = std::chrono::steady_clock::now();
+  for (auto& th : pool) th.join();
+  return std::chrono::duration<double>(end - start).count();
+}
 
 }  // namespace llxscx

@@ -8,8 +8,8 @@
 // stream, and duration — the production shape the ROADMAP names:
 //
 //   grow    sequential-ramp stream, insert-heavy mix: fill the structure
-//           to its working size with the dense ascending stream (the E10
-//           grow idiom, now an engine-generic phase).
+//           to its working size with the dense ascending stream, on any
+//           engine (a hash map doubles live through this phase).
 //   steady  the profile's (distribution × mix) combination at size.
 //   churn   balanced insert/erase pressure over the same distribution:
 //           turnover at a steady size — the reclamation-heavy regime.
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "ds/container_api.h"
@@ -109,32 +108,32 @@ struct PhaseResult {
 
 namespace detail {
 
-// One timed phase over a shared engine. Same start-line / stop-flag shape
-// as bench_common.h's run_phase (and its timing convention: seconds span
-// the start line to the stop flip, NOT the joins, so post-stop drain
-// can't deflate ops/s) — rewritten here because the workload layer lives
-// under src/ (strictly below bench/) and returns per-op-type results, not
-// one opaque count.
+// One timed phase over a shared engine, on util/barrier.h's
+// run_timed_phase (start line, stop flag, seconds = start line → stop
+// flip). Each worker's key stream, mix dice and buffers are built in its
+// setup, before the start line; what is left here is the op dispatch.
 template <class Engine>
 PhaseResult run_phase(Engine& c, const PhaseSpec& spec, int threads,
                       std::uint64_t seed_base) {
   const KeyStreamFactory streams(spec.stream);
-  SpinBarrier barrier(threads + 1);
-  std::atomic<bool> stop{false};
   struct ThreadOut {
     std::uint64_t ops[kNumOpTypes] = {};
     LatencyHistogram latency[kNumOpTypes];
   };
   std::vector<ThreadOut> out(static_cast<std::size_t>(threads));
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      // Two independent per-thread deterministic sources: the key stream
-      // and the mix dice (decoupled so changing a distribution never
-      // re-rolls the op sequence).
-      const auto seed = seed_base + static_cast<std::uint64_t>(t);
-      std::unique_ptr<KeyStream> stream = streams.make(seed);
-      Xoshiro256 dice(seed ^ 0x9E3779B97F4A7C15ull);
+  const auto b = static_cast<std::size_t>(spec.batch);
+  const double seconds = run_timed_phase(threads, spec.millis, [&](int t) {
+    // Two independent per-thread deterministic sources: the key stream
+    // and the mix dice (decoupled so changing a distribution never
+    // re-rolls the op sequence). The batch and scan buffers live for the
+    // whole phase; a cleared scan_buf keeps its capacity.
+    const auto seed = seed_base + static_cast<std::uint64_t>(t);
+    return [&, t, stream = streams.make(seed),
+            dice = Xoshiro256(seed ^ 0x9E3779B97F4A7C15ull),
+            ops = std::vector<BatchOp>(b),
+            results = std::vector<BatchResult>(b),
+            types = std::vector<OpType>(b),
+            scan_buf = RangeOut{}](const std::atomic<bool>& stop) mutable {
       ThreadOut& mine = out[static_cast<std::size_t>(t)];
       if (spec.batch > 1) {
         // Batched dispatch: fill a batch from the same (mix dice, key
@@ -145,12 +144,6 @@ PhaseResult run_phase(Engine& c, const PhaseSpec& spec, int threads,
         // timed batch observed the batch's amortized cost), under the
         // `batched: true` flag in the JSON rows so percentile semantics
         // stay distinguishable from individually-timed scalar ops.
-        const auto b = static_cast<std::size_t>(spec.batch);
-        std::vector<BatchOp> ops(b);
-        std::vector<BatchResult> results(b);
-        std::vector<OpType> types(b);
-        RangeOut scan_buf;
-        barrier.arrive_and_wait();
         std::uint64_t batches = 0;
         std::uint64_t scans = 0;
         while (!stop.load(std::memory_order_relaxed)) {
@@ -220,8 +213,6 @@ PhaseResult run_phase(Engine& c, const PhaseSpec& spec, int threads,
         }
         return;
       }
-      barrier.arrive_and_wait();
-      RangeOut scan_buf;  // reused per thread: capacity survives the clear
       std::uint64_t n = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         const OpType op = spec.mix.pick(dice);
@@ -258,14 +249,8 @@ PhaseResult run_phase(Engine& c, const PhaseSpec& spec, int threads,
         ++mine.ops[static_cast<unsigned>(op)];
         ++n;
       }
-    });
-  }
-  barrier.arrive_and_wait();
-  const auto start = std::chrono::steady_clock::now();
-  std::this_thread::sleep_for(std::chrono::milliseconds(spec.millis));
-  stop.store(true);
-  const auto end = std::chrono::steady_clock::now();
-  for (auto& th : pool) th.join();
+    };
+  });
 
   PhaseResult r;
   r.phase = spec.name;
@@ -273,7 +258,7 @@ PhaseResult run_phase(Engine& c, const PhaseSpec& spec, int threads,
   r.stream = spec.stream.name();
   r.threads = threads;
   r.batch = spec.batch;
-  r.seconds = std::chrono::duration<double>(end - start).count();
+  r.seconds = seconds;
   for (const ThreadOut& o : out) {
     for (unsigned i = 0; i < kNumOpTypes; ++i) {
       r.per_type[i].ops += o.ops[i];

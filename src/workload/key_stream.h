@@ -6,10 +6,10 @@
 // KeyStreamFactory owns the (possibly expensive, possibly shared) state a
 // run needs — the Zipfian harmonic table is computed once and shared
 // read-only by every thread, the sequential ramp's cursor is one atomic
-// shared BY DESIGN (the ramp is a cross-thread ascending stream, the E10
-// grow idiom); make(seed) then mints one cheap per-thread KeyStream that
-// owns its own PRNG, so worker threads never contend on generator state
-// beyond what the distribution itself requires.
+// shared BY DESIGN (the ramp is one cross-thread ascending stream, the
+// grow phase's dense fill); make(seed) then mints one cheap per-thread
+// KeyStream that owns its own PRNG, so worker threads never contend on
+// generator state beyond what the distribution itself requires.
 //
 // All streams draw 1-based keys in [1, key_space] — the repo-wide
 // convention (0 stays a sentinel, cf. tests/test_common.h skewed_key).

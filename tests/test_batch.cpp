@@ -275,7 +275,7 @@ TYPED_TEST(BatchConformance, MultiGetAgreesUnderConcurrentUpdates) {
 // per-lane kMoved/kDone handling must answer through old and new tables.
 TEST(HashMapMultiGet, SurvivesConcurrentResize) {
   constexpr std::size_t kStable = 64;
-  BasicLlxScxHashMap<EbrManager> m(1);  // 1 bucket: growth guaranteed
+  LlxScxHashMap m(1);  // 1 bucket: growth guaranteed
   for (std::uint64_t k = 1; k <= kStable; k += 2) m.upsert(k, k);
 
   std::atomic<bool> done{false};

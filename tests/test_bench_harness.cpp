@@ -11,8 +11,12 @@
 //   - run_phase() must measure the phase up to the stop-flag flip, NOT
 //     through each worker's post-stop drain — a slow drain previously
 //     inflated `seconds` and deflated every reported ops/s.
+//   - run_timed_phase() (util/barrier.h, the runner under every phase)
+//     must run each worker's setup before the start line: the workload
+//     driver builds its key streams there.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -121,6 +125,23 @@ TEST(BenchHarness, RunPhaseSecondsExcludeWorkerDrainAfterStop) {
   EXPECT_LT(r.seconds, 0.150)
       << "seconds must span start→stop-flip, not the workers' drain";
   EXPECT_GT(r.total_ops, 0u);
+}
+
+TEST(BenchHarness, RunPhaseSecondsExcludeWorkerSetupBeforeStart) {
+  std::atomic<std::uint64_t> ops{0};
+  const double seconds = run_timed_phase(2, 50, [&](int) {
+    // A deliberately slow per-thread setup, three times the phase length.
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    return [&](const std::atomic<bool>& stop) {
+      std::uint64_t n = 0;
+      while (!stop.load(std::memory_order_relaxed)) ++n;
+      ops.fetch_add(n);
+    };
+  });
+  EXPECT_GE(seconds, 0.050);
+  EXPECT_LT(seconds, 0.150)
+      << "seconds must span start→stop-flip, not the workers' setup";
+  EXPECT_GT(ops.load(), 0u);
 }
 
 }  // namespace

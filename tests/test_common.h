@@ -1,18 +1,16 @@
 // Shared helpers for the test binaries: the stress-duration knob and the
-// multi-thread locked-oracle scaffolding that every structure's stress
-// test used to copy-paste (barrier + stop flag + worker pool + batched
-// delta tally). The per-structure tests supply only the op mix and the
-// final verification.
+// multi-thread locked-oracle scaffolding every structure's stress test
+// shares (a timed worker pool on the one phase runner + batched delta
+// tally). The per-structure tests supply only the op mix and the final
+// verification.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -61,28 +59,20 @@ inline int stress_millis() {
   return 2000;
 }
 
-// Runs `threads` workers behind a common start line for stress_millis(),
-// then flips the stop flag and joins. worker(thread_index, rng, stop)
-// returns its completed-op count; the sum is returned. The rng is seeded
-// per-thread from seed_base so runs are reproducible.
+// Runs `threads` workers through run_timed_phase (util/barrier.h) for
+// stress_millis(). worker(thread_index, rng, stop) returns its completed-op
+// count; the sum is returned. The rng is seeded per-thread from seed_base
+// before the start line so runs are reproducible.
 template <typename WorkerFn>
 std::uint64_t run_stress_workers(int threads, unsigned seed_base,
                                  WorkerFn worker) {
-  SpinBarrier barrier(threads + 1);
-  std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> total_ops{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] {
-      Xoshiro256 rng(seed_base + static_cast<unsigned>(t));
-      barrier.arrive_and_wait();
+  run_timed_phase(threads, stress_millis(), [&](int t) {
+    return [&, t, rng = Xoshiro256(seed_base + static_cast<unsigned>(t))](
+               const std::atomic<bool>& stop) mutable {
       total_ops.fetch_add(worker(t, rng, stop));
-    });
-  }
-  barrier.arrive_and_wait();
-  std::this_thread::sleep_for(std::chrono::milliseconds(stress_millis()));
-  stop.store(true);
-  for (auto& th : pool) th.join();
+    };
+  });
   return total_ops.load();
 }
 

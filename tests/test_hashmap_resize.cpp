@@ -111,7 +111,7 @@ TYPED_TEST(HashMapGrowth, SingleBucketToHundredThousandKeys) {
 TEST(HashMapResize, DescendingInsertionOrderStillTriggersGrowth) {
   constexpr std::uint64_t kKeys = 20'000;
   {
-    BasicLlxScxHashMap<EbrManager> m(1);
+    LlxScxHashMap m(1);
     for (std::uint64_t k = kKeys; k >= 1; --k) ASSERT_TRUE(m.upsert(k, k + 7));
     settle(m);
     EXPECT_GT(m.bucket_count(), 1u)
@@ -135,7 +135,7 @@ TEST(HashMapResize, DescendingInsertionOrderStillTriggersGrowth) {
 // must never observe a stale value resurrected from a frozen chain.
 TEST(HashMapResize, OverwritesAreNotResurrectedByMigration) {
   constexpr std::uint64_t kHot = std::uint64_t{1} << 60;  // outside the stream
-  BasicLlxScxHashMap<EbrManager> m(1);
+  LlxScxHashMap m(1);
   std::uint64_t version = 0;
   for (std::uint64_t k = 1; k <= 50'000; ++k) {
     ASSERT_TRUE(m.upsert(k, 1));
@@ -157,7 +157,7 @@ TEST(HashMapResize, MillionKeysFromOneBucketUnderConcurrentReaders) {
   const int kReaders = 2;
 
   {
-    BasicLlxScxHashMap<EbrManager> m(1);
+    LlxScxHashMap m(1);
     std::atomic<std::uint64_t> next{1};
     std::atomic<bool> done{false};
     std::atomic<bool> bound_violated{false};

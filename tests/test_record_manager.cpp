@@ -184,7 +184,7 @@ TEST(PoolManager, DeallocRecyclesWithoutGrace) {
 // began to be destroyed before that SAME walk ends.
 TEST(EbrManagerWalks, OccupancyWalkDoesNotBlockAnotherThreadsDrain) {
   constexpr std::uint64_t kKeys = 60'000;
-  BasicLlxScxHashMap<EbrManager> m(1);
+  LlxScxHashMap m(1);
   for (std::uint64_t k = 1; k <= kKeys; ++k) m.upsert(k, k);
   EbrManager::drain();
 
