@@ -201,14 +201,23 @@ class TreeTemplate {
   // Pruning is the engine's scan_dir(n, dir, lo, hi) hook: may the dir
   // subtree of n intersect [lo, hi]? It reads only immutable routing
   // fields, so pruning costs no shared reads.
+  //
+  // The witness set and the DFS stack live in per-thread buffers, cleared
+  // on each attempt, so a warm call touches no heap when `out` has room
+  // (pinned in test_range). They keep their high-water capacity: the
+  // largest window this thread has scanned (the same policy as
+  // ShardedMap's batch Scratch, DESIGN.md §14). Nothing reached from
+  // range — witness, detail_help, vlx — may re-enter it on the same
+  // thread.
   std::size_t range(std::uint64_t lo, std::uint64_t hi,
                     std::vector<std::pair<std::uint64_t, std::uint64_t>>& out)
       const {
     if (lo > hi) return 0;
     typename Domain::Guard g;
     const std::size_t base = out.size();
-    std::vector<LinkedLlx> w;
-    std::vector<const Node*> stack;
+    ScanBuffers& sb = scan_buffers();
+    std::vector<LinkedLlx>& w = sb.w;
+    std::vector<const Node*>& stack = sb.stack;
     for (;;) {
       out.resize(base);
       w.clear();
@@ -557,6 +566,16 @@ class TreeTemplate {
   }
 
  private:
+  // range()'s per-thread witness set and DFS stack.
+  struct ScanBuffers {
+    std::vector<LinkedLlx> w;
+    std::vector<const Node*> stack;
+  };
+  static ScanBuffers& scan_buffers() {
+    thread_local ScanBuffers sb;
+    return sb;
+  }
+
   Derived& self() { return static_cast<Derived&>(*this); }
   const Derived& self() const { return static_cast<const Derived&>(*this); }
 };

@@ -231,35 +231,51 @@ class ShardedMap {
 
   // Ordered range over ALL shards: the splitter is a hash, so any key
   // interval may touch every shard. Each shard answers container_range
-  // under its own DomainScope + Guard into a per-shard slice (ascending
-  // by contract), then the slices are k-way merged — the result is
-  // ascending and duplicate-free because the shards partition the key
-  // space. Consistency is per shard (each slice is one shard's range
-  // guarantee, VLX-validated on the trees); the merge of slices taken at
-  // different instants is NOT a cross-shard snapshot, same as size().
+  // under its own DomainScope + Guard, appending its slice (ascending by
+  // contract) to one flat per-thread buffer, and the slice boundaries are
+  // recorded. The k = 2^shard_bits runs then pair up evenly at every
+  // level: log2(k) levels of branchless two-way merges ping-pong between
+  // that buffer and a second one, and the last level writes straight
+  // into `out` (k = 1 has no level: its one slice lands in `out`). The
+  // result is ascending and duplicate-free because the shards partition
+  // the key space. Consistency is per shard (each slice is one shard's
+  // range guarantee, VLX-validated on the trees); the merge of slices
+  // taken at different instants is NOT a cross-shard snapshot, same as
+  // size().
+  //
+  // Both buffers live in the thread's Scratch and keep their high-water
+  // capacity (the largest window this thread has merged), so a warm call
+  // allocates nothing when `out` has room. Nothing reached from here may
+  // re-enter range on the same thread.
   std::size_t range(std::uint64_t lo, std::uint64_t hi, RangeOut& out) const {
+    const std::size_t k = shards_.size();
+    if (k == 1) return slice(0, lo, hi, out);
+    Scratch& sc = scratch();
+    sc.runs.clear();
+    sc.run_end.resize(k + 1);
+    sc.run_end[0] = 0;
+    for (std::size_t s = 0; s < k; ++s) {
+      slice(s, lo, hi, sc.runs);
+      sc.run_end[s + 1] = sc.runs.size();
+    }
+    const std::size_t total = sc.runs.size();
     const std::size_t base = out.size();
-    std::vector<RangeOut> per(shards_.size());
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const Shard& sh = *shards_[s];
-      Epoch::DomainScope scope(sh.domain);
-      Epoch::Guard g;
-      container_range(*sh.engine, lo, hi, per[s]);
-    }
-    std::vector<std::size_t> ix(per.size(), 0);
-    for (;;) {
-      std::size_t best = per.size();
-      for (std::size_t s = 0; s < per.size(); ++s) {
-        if (ix[s] < per[s].size() &&
-            (best == per.size() ||
-             per[s][ix[s]].first < per[best][ix[best]].first)) {
-          best = s;
-        }
+    out.resize(base + total);
+    sc.merged.resize(total);
+    RangeOut* src = &sc.runs;
+    RangeOut* spare = &sc.merged;
+    for (std::size_t width = 1; width < k; width *= 2) {
+      const bool last = 2 * width == k;
+      RangeOut& dst = last ? out : *spare;
+      const std::size_t at = last ? base : 0;
+      for (std::size_t r = 0; r < k; r += 2 * width) {
+        merge_runs(*src, sc.run_end[r], sc.run_end[r + width],
+                   sc.run_end[r + 2 * width], dst, at + sc.run_end[r]);
       }
-      if (best == per.size()) break;
-      out.push_back(per[best][ix[best]++]);
+      spare = src;
+      src = &dst;
     }
-    return out.size() - base;
+    return total;
   }
 
   // Unordered bounded scan, shard by shard — surfaced only when the
@@ -354,8 +370,9 @@ class ShardedMap {
     return *shards_[shard_for(key)];
   }
 
-  // Per-thread grouping buffers: batch dispatch allocates nothing on the
-  // steady state (vectors keep their high-water capacity).
+  // Per-thread grouping and merge buffers: batch dispatch and range
+  // allocate nothing on the steady state (vectors keep their high-water
+  // capacity).
   struct Scratch {
     std::vector<std::uint32_t> shard_ix;  // shard id per op (one hash each)
     std::vector<std::uint32_t> order;     // op indices, grouped by shard
@@ -366,6 +383,9 @@ class ShardedMap {
     std::vector<BatchResult> results;    // per-group answers pre-scatter
     std::unique_ptr<bool[]> hits;        // gathered answers (multi_get)
     std::size_t hits_cap = 0;
+    RangeOut runs;                       // shard slices, back to back (range)
+    RangeOut merged;                     // range's other merge buffer
+    std::vector<std::size_t> run_end;    // slice boundaries, size shards+1
 
     bool* hit_buf(std::size_t n) {
       if (hits_cap < n) {
@@ -378,6 +398,32 @@ class ShardedMap {
   static Scratch& scratch() {
     thread_local Scratch sc;
     return sc;
+  }
+
+  // Shard s's slice of [lo, hi], appended to out under its own scope.
+  std::size_t slice(std::size_t s, std::uint64_t lo, std::uint64_t hi,
+                    RangeOut& out) const {
+    const Shard& sh = *shards_[s];
+    Epoch::DomainScope scope(sh.domain);
+    Epoch::Guard g;
+    return container_range(*sh.engine, lo, hi, out);
+  }
+
+  // Merges the ascending runs src[i, m) and src[m, e) into dst from
+  // position d. Each step selects its source by index rather than
+  // branching on the comparison, which is a coin flip on interleaved
+  // shard slices.
+  static void merge_runs(const RangeOut& src, std::size_t i, std::size_t m,
+                         std::size_t e, RangeOut& dst, std::size_t d) {
+    std::size_t j = m;
+    while (i < m && j < e) {
+      const bool right = src[j].first < src[i].first;
+      dst[d++] = src[right ? j : i];
+      j += right;
+      i += !right;
+    }
+    while (i < m) dst[d++] = src[i++];
+    while (j < e) dst[d++] = src[j++];
   }
 
   // Stable counting sort of op indices [0, n) by shard: one shard_for

@@ -68,7 +68,9 @@ TEST(Bst, ShuffledInsertEraseKeepsSortedItems) {
   }
   // Erase every other key (in shuffled order) and re-check.
   for (std::uint64_t i = 0; i < kN; ++i) {
-    if (keys[i] % 2 == 0) ASSERT_TRUE(t.erase(keys[i]));
+    if (keys[i] % 2 == 0) {
+      ASSERT_TRUE(t.erase(keys[i]));
+    }
   }
   for (std::uint64_t i = 0; i < kN; ++i) {
     EXPECT_EQ(t.get(keys[i]).has_value(), keys[i] % 2 == 1);
@@ -153,7 +155,9 @@ TEST(BstStress, MatchesLockedOracleUnderContention) {
           } else {
             // The VLX-validated read must agree with the same invariant.
             const auto v = t.get_validated(key);
-            if (v.has_value()) EXPECT_EQ(*v, key * 10);
+            if (v.has_value()) {
+              EXPECT_EQ(*v, key * 10);
+            }
           }
           ++ops;
         }

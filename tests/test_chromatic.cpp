@@ -63,7 +63,9 @@ TEST(Chromatic, ShuffledInsertEraseKeepsSortedItemsAndInvariants) {
     EXPECT_EQ(items[i].second, (3 * i + 1) * 2);
   }
   for (std::uint64_t i = 0; i < kN; ++i) {
-    if (keys[i] % 2 == 0) ASSERT_TRUE(t.erase(keys[i]));
+    if (keys[i] % 2 == 0) {
+      ASSERT_TRUE(t.erase(keys[i]));
+    }
   }
   ASSERT_EQ(t.consistency_error(), std::nullopt)
       << "erase rebalancing must leave zero violations";
@@ -158,10 +160,14 @@ TEST(ChromaticStress, MatchesLockedOracleUnderContention) {
             if (t.erase(key)) rec.add(key, -1);
           } else if (dice < 85) {
             const auto v = t.get(key);
-            if (v.has_value()) EXPECT_EQ(*v, key * 10);
+            if (v.has_value()) {
+              EXPECT_EQ(*v, key * 10);
+            }
           } else {
             const auto v = t.get_validated(key);
-            if (v.has_value()) EXPECT_EQ(*v, key * 10);
+            if (v.has_value()) {
+              EXPECT_EQ(*v, key * 10);
+            }
           }
           ++ops;
         }

@@ -315,7 +315,8 @@ TYPED_TEST(ContainerConformance, ChurnHeapStaysBoundedByLiveKeys) {
 
 // container_range over ANY engine equals the sorted filter of a quiescent
 // oracle, and the output is strictly ascending — for sharded wrappers the
-// ascending check IS the k-way-merge-ordered + duplicate-free claim.
+// ascending check IS the merge-ordered + duplicate-free claim, and the
+// surviving prefix pins that the merge writes only past the append point.
 // Distinct keys with value/count 1 so every family represents the state
 // identically in its ⟨key, value⟩ view.
 TYPED_TEST(ContainerConformance, RangeMatchesSortedOracleQuiescent) {
@@ -325,7 +326,9 @@ TYPED_TEST(ContainerConformance, RangeMatchesSortedOracleQuiescent) {
     std::set<std::uint64_t> oracle;
     while (oracle.size() < 200) {
       const std::uint64_t k = 1 + rng.below(1000);
-      if (oracle.insert(k).second) ASSERT_TRUE(c.insert(k, 1));
+      if (oracle.insert(k).second) {
+        ASSERT_TRUE(c.insert(k, 1));
+      }
     }
     const std::pair<std::uint64_t, std::uint64_t> windows[] = {
         {0, ~std::uint64_t{0}}, {100, 500}, {1, 1}, {900, 2000}, {600, 599}};
@@ -334,9 +337,16 @@ TYPED_TEST(ContainerConformance, RangeMatchesSortedOracleQuiescent) {
       for (const std::uint64_t k : oracle) {
         if (k >= lo && k <= hi) expect.emplace_back(k, 1);
       }
-      RangeOut got;
+      // range appends: a pair already in `out` must survive untouched (and
+      // unsorted against the window, so a merge that strays below the
+      // append point shows).
+      const std::pair<std::uint64_t, std::uint64_t> prefix{~std::uint64_t{0}, 7};
+      RangeOut got{prefix};
       EXPECT_EQ(container_range(c, lo, hi, got), expect.size())
           << "[" << lo << ", " << hi << "]";
+      ASSERT_FALSE(got.empty());
+      EXPECT_EQ(got.front(), prefix) << "[" << lo << ", " << hi << "]";
+      got.erase(got.begin());
       EXPECT_EQ(got, expect) << "[" << lo << ", " << hi << "]";
       for (std::size_t i = 1; i < got.size(); ++i) {
         ASSERT_LT(got[i - 1].first, got[i].first)

@@ -393,7 +393,9 @@ TEST(HashMapStress, MatchesLockedOracleUnderContention) {
             if (m.erase(key)) rec.add(key, -1);
           } else {
             const auto v = m.get(key);
-            if (v.has_value()) EXPECT_EQ(*v, key ^ 0xBEEF);
+            if (v.has_value()) {
+              EXPECT_EQ(*v, key ^ 0xBEEF);
+            }
           }
           ++ops;
         }

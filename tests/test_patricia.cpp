@@ -161,7 +161,9 @@ TEST(PatriciaStress, MatchesLockedOracleUnderContention) {
             if (t.erase(key)) rec.add(key, -1);
           } else {
             const auto v = t.get(key);
-            if (v.has_value()) EXPECT_EQ(*v, key ^ 0xF00D);
+            if (v.has_value()) {
+              EXPECT_EQ(*v, key ^ 0xF00D);
+            }
           }
           ++ops;
         }

@@ -2,9 +2,13 @@
 //
 // What is pinned here:
 //   - range() on the trees is read-pure: 0 LLX, 0 CAS, 0 shared writes,
-//     0 allocations per clean attempt — the walk plus its VLX witnesses
-//     are the WHOLE cost (for the BST's known right-chain shape the
-//     shared-read count is pinned EXACTLY);
+//     0 record allocations (StepCounts.allocations) per clean attempt —
+//     the walk plus its VLX witnesses are the WHOLE cost (for the BST's
+//     known right-chain shape the shared-read count is pinned EXACTLY);
+//   - a warm range() calls operator new zero times, on a bare tree and
+//     through ShardedMap's slice merge (per-thread buffers; `out`
+//     reserved by the caller) — counted by the replacement operator new
+//     below;
 //   - insert_all() commits ONE SCX per leaf group: 1..32 into an empty
 //     BST is exactly 2 SCXs (two 16-key groups), into an empty Patricia
 //     exactly 3 (the trie's branch intervals bound the middle group);
@@ -18,6 +22,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
 #include <vector>
 
@@ -32,6 +38,24 @@
 #include "util/random.h"
 
 #include "tests/test_common.h"
+
+// Counting replacement of the global operator new: each thread counts its
+// own heap allocations, so a test can pin that a call made none. The
+// matching deletes stay out of line: inlined into a `new T` site, GCC's
+// -Wmismatched-new-delete would see free() on operator new's pointer.
+namespace {
+thread_local std::size_t t_heap_news = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++t_heap_news;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace llxscx {
 namespace {
@@ -112,6 +136,42 @@ TEST(RangeShape, WindowEdgeCases) {
   EXPECT_EQ(out[3], (Pair{40, 40}));
   EXPECT_EQ(t.range(0, ~std::uint64_t{0}, out), 5u)
       << "full-range scan must not see the sentinels";
+}
+
+// --- range(): zero heap allocations per warm scan ----------------------------
+
+// Sweeps 100-key windows over 1..2048 twice and returns how many times the
+// second sweep called operator new. The first sweep warms every per-thread
+// buffer to its high water (and the thread's epoch records).
+template <class M>
+std::size_t heap_news_in_warm_sweep(const M& m) {
+  RangeOut out;
+  out.reserve(100);
+  std::size_t found = 0;
+  const auto sweep = [&] {
+    for (std::uint64_t lo = 1; lo <= 2048; lo += 37) {
+      out.clear();
+      found += m.range(lo, lo + 99, out);
+    }
+  };
+  sweep();
+  const std::size_t before = t_heap_news;
+  sweep();
+  const std::size_t news = t_heap_news - before;
+  EXPECT_EQ(found, 2 * 5450u) << M::kName << ": every window answered";
+  return news;
+}
+
+TEST(RangeHeap, WarmScansCallOperatorNewZeroTimes) {
+  LlxScxChromatic tree;
+  ShardedMap<LlxScxChromatic> sharded;
+  for (std::uint64_t k = 1; k <= 2048; ++k) {
+    ASSERT_TRUE(tree.insert(k, k));
+    ASSERT_TRUE(sharded.insert(k, k));
+  }
+  EXPECT_EQ(heap_news_in_warm_sweep(tree), 0u) << LlxScxChromatic::kName;
+  EXPECT_EQ(heap_news_in_warm_sweep(sharded), 0u)
+      << ShardedMap<LlxScxChromatic>::kName;
 }
 
 // --- insert_all(): one SCX per leaf group -----------------------------------

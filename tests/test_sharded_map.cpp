@@ -3,15 +3,19 @@
 // cross-shard size() consistency under real contention, the per-shard
 // epoch INDEPENDENCE property the whole layer exists for (a guard pinned
 // on shard A must not stop shard B from draining), the degenerate
-// all-traffic-on-one-shard regime, a swapped RecordManager engine, and
-// the steps_of aggregation story (routing adds zero shared steps).
+// all-traffic-on-one-shard regime, range()'s slice merge at every width,
+// a swapped RecordManager engine, and the steps_of aggregation story
+// (routing adds zero shared steps).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "ds/chromatic_llxscx.h"
 #include "ds/container_api.h"
 #include "ds/hashmap_llxscx.h"
 #include "reclaim/epoch.h"
@@ -191,11 +195,58 @@ TEST(ShardedMap, AllTrafficOnOneShardDegradesToSingleInstance) {
   EXPECT_EQ(m.size(), static_cast<std::size_t>(oracle_total));
   m.for_each_shard([&](std::size_t i, const LlxScxHashMap& engine,
                        DomainReclaimStats) {
-    if (i != 0) EXPECT_EQ(engine.size(), 0u) << "shard " << i;
+    if (i != 0) {
+      EXPECT_EQ(engine.size(), 0u) << "shard " << i;
+    }
   });
 
   m.drain_all();
   EXPECT_EQ(m.reclaim_outstanding(), 0u);
+}
+
+// range() merges k = 1, 2, 4 and 16 ascending shard slices (0, 1, 2 and 4
+// pairwise levels) into exactly the oracle's window. At widths ≥ 4 no key
+// routes to a shard whose index is 1 mod 3, so some slices are always
+// empty; narrow windows empty more of them at every width. The windows
+// also cover lo > hi, single keys, and hi = 2^64 − 1 with keys near the
+// top of the user key space.
+TEST(ShardedMap, RangeMergesEveryWidthLikeTheOracle) {
+  constexpr std::uint64_t kTop = LlxScxChromatic::kInf1 - 1;
+  for (const std::size_t width : {1u, 2u, 4u, 16u}) {
+    ShardedMap<LlxScxChromatic> m(width);
+    ASSERT_EQ(m.shard_count(), width);
+    Xoshiro256 rng(0x5A4D + width);
+    std::set<std::uint64_t> oracle;
+    const auto add = [&](std::uint64_t k) {
+      if (width >= 4 && m.shard_of(k) % 3 == 1) return;
+      if (oracle.insert(k).second) {
+        ASSERT_TRUE(m.insert(k, k ^ 0x5A));
+      }
+    };
+    for (int i = 0; i < 400; ++i) add(1 + rng.below(4000));
+    for (std::uint64_t k = kTop - 40; k <= kTop; ++k) add(k);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> windows = {
+        {0, ~std::uint64_t{0}}, {kTop - 20, ~std::uint64_t{0}},
+        {4001, kTop - 41},      {700, 699},
+        {~std::uint64_t{0}, 0}, {*oracle.begin(), *oracle.begin()}};
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t lo = rng.below(4200);
+      windows.emplace_back(lo, lo + rng.below(i % 2 == 0 ? 16 : 600));
+    }
+    RangeOut got;
+    for (const auto& [lo, hi] : windows) {
+      RangeOut want;
+      for (auto it = oracle.lower_bound(lo);
+           lo <= hi && it != oracle.end() && *it <= hi; ++it) {
+        want.emplace_back(*it, *it ^ 0x5A);
+      }
+      got.clear();
+      EXPECT_EQ(m.range(lo, hi, got), want.size())
+          << "width " << width << " [" << lo << ", " << hi << "]";
+      EXPECT_EQ(got, want) << "width " << width << " [" << lo << ", " << hi
+                           << "]";
+    }
+  }
 }
 
 // The engine's RecordManager swaps under the front-end like anywhere else.
