@@ -44,32 +44,38 @@
 //             finish SCX (V=⟨M⟩, M.next ← D) then commits exactly once;
 //             its winner retires the frozen chain + old tail.
 //
-// Updates that meet a SEALED bucket first drive it to MIGRATED, then
-// operate on the next table; every update during a resize also migrates a
-// small claimed stride of buckets (Table::cursor), so the resize is
-// cooperative and finishes even if the initiating thread dies. Readers
-// never help: a get() on a SEALED bucket reads the frozen chain (its load
-// of M.next is the linearization point — no update to those keys can
-// commit anywhere before the finish SCX), and on a MIGRATED bucket hops
-// to the next table. When every bucket is MIGRATED, table_ swaps to the
-// next table and the winner retires the old heads, markers, and
+// Two routers carry every operation through those states. Updates —
+// upsert, erase, and the migration's own copies — reach their slot through
+// one cursor, locate(): a bucket it finds SEALED is driven to MIGRATED
+// (route()) and the walk retried in the next table. Every update during a
+// resize also migrates a small claimed stride of buckets (Table::cursor),
+// so the resize is cooperative and finishes even if the initiating thread
+// dies. Readers — get(), the multi_get lanes and the whole-table walks —
+// never help: chain_of() hands them a SEALED bucket's frozen chain (its
+// load of M.next is the linearization point — no update to those keys can
+// commit anywhere before the finish SCX) and sends them to the next table
+// from a MIGRATED bucket. When every bucket is MIGRATED, table_ swaps to
+// the next table and the winner retires the old heads, markers, and
 // descriptor through the Reclaim policy (stale readers stay safe under
-// their epoch guards). A table only triggers its own growth while it IS
-// table_, so at most one migration is in flight per table generation and
-// the next table's buckets are never sealed while copies into them run.
+// their epoch guards). A table only grows while it IS table_, so at most
+// one migration is in flight per table generation and the next table's
+// buckets are never sealed while copies into them run.
 //
 // Backpressure: an insert measures the bucket's FULL chain length (the
 // walk to its slot plus the remainder of the chain, counted only up to
 // the bound — insert depth alone is NOT a bound: a descending-key stream
 // inserts at the front of the chain with depth 0 forever). At
-// kStallChainLen it refuses to lengthen the chain — it seals + migrates
-// its bucket instead and inserts into the next table. A committed insert
-// therefore measured < kStallChainLen, so chains are bounded by
-// kStallChainLen plus in-flight inserts (at most one per concurrent
-// thread: the measurement happens in the same pass as the walk), under
-// the seal SCX's V capacity (ScxRecord::kMaxV − 1) whenever fewer than
-// kSealMaxChain − kStallChainLen threads insert into one bucket at the
-// same instant; the seal re-walks if transiently exceeded.
+// kStallChainLen it refuses to lengthen the chain — it routes its bucket
+// to the next table instead and inserts there. A table still being
+// migrated INTO (not yet table_) has no successor to route to, so route()
+// first helps that migration finish, then grows the table: route() never
+// returns null, and the one-migration-per-generation rule holds. A
+// committed insert therefore measured < kStallChainLen, so chains are
+// bounded by kStallChainLen plus in-flight inserts (at most one per
+// concurrent thread: the measurement happens in the same pass as the
+// walk), under the seal SCX's V capacity (ScxRecord::kMaxV − 1) whenever
+// fewer than kSealMaxChain − kStallChainLen threads insert into one bucket
+// at the same instant; the seal re-walks if transiently exceeded.
 #pragma once
 
 #include <algorithm>
@@ -191,67 +197,37 @@ class BasicLlxScxHashMap {
     typename Domain::Guard g;
     Table* t = table_.load(mo::acquire);
     for (;;) {
-      const std::size_t b = bucket_of(key, t->mask);
-      Node* const head = t->heads[b];
-      Node* first = next_of(head);
-      if (first->kind == Node::kMoved) {
-        t = route(t, b);
-        continue;
-      }
-      Node* pred = head;
-      Node* cur = first;
-      std::size_t walked = 0;
-      while (cur->kind == Node::kItem && cur->key < key) {
-        pred = cur;
-        cur = next_of(cur);
-        ++walked;
-      }
+      const Slot s = locate(t, key);
       // Backpressure + trigger need the chain's LENGTH, not the insert
       // DEPTH (`walked`): a front-of-chain insert walks 0 nodes no matter
       // how long the chain is. Keep counting past the slot, capped at the
       // backpressure bound — beyond it the exact value doesn't matter.
-      std::size_t chain = walked;
-      for (const Node* s = cur; s->kind == Node::kItem && chain < kStallChainLen;
-           s = next_of(s)) {
+      std::size_t chain = s.walked;
+      for (const Node* n = s.cur; n->kind == Node::kItem && chain < kStallChainLen;
+           n = next_of(n)) {
         ++chain;
       }
       if (chain >= kStallChainLen) {
-        // Backpressure: never lengthen a chain this long — grow instead,
-        // migrate this bucket, and insert into the next table.
-        grow(t);
-        t = route(t, b);
+        // Backpressure: never lengthen a chain this long — move the bucket
+        // to the next table (growing one if needed) and insert there.
+        t = route(t, s.b);
         continue;
       }
-      auto lp = llx(pred);
-      if (!lp.ok()) continue;
-      Node* lcur = to_node(lp.field(Node::kNext));
-      if (lcur->kind == Node::kItem && lcur->key < key) continue;  // stale
-      if (lcur->kind == Node::kMoved) {  // sealed since the walk
-        t = route(t, b);
-        continue;
-      }
-      if (lcur->kind == Node::kItem && lcur->key == key) {
-        auto lc = llx(lcur);
+      const bool present = s.cur->kind == Node::kItem && s.cur->key == key;
+      ScxOp<Node, Reclaim> op;
+      op.link(s.lp);
+      Node* succ = s.cur;
+      if (present) {
+        auto lc = llx(s.cur);
         if (!lc.ok()) continue;
-        ScxOp<Node, Reclaim> op;
-        op.link(lp);
         op.remove(lc);  // value change = node replacement (see header)
-        auto repl = op.freshly(key, value, to_node(lc.field(Node::kNext)));
-        op.write(pred, Node::kNext, repl);
-        if (op.commit()) {
-          after_update(t, chain);
-          return false;
-        }
-      } else {
-        ScxOp<Node, Reclaim> op;
-        op.link(lp);
-        auto n = op.freshly(key, value, lcur);
-        op.write(pred, Node::kNext, n);
-        if (op.commit()) {
-          t->items.fetch_add(1, mo::relaxed);
-          after_update(t, chain + 1);
-          return true;
-        }
+        succ = to_node(lc.field(Node::kNext));
+      }
+      op.write(s.pred, Node::kNext, op.freshly(key, value, succ));
+      if (op.commit()) {
+        if (!present) t->items.fetch_add(1, mo::relaxed);
+        after_update(t, present ? chain : chain + 1);
+        return !present;
       }
     }
   }
@@ -261,50 +237,28 @@ class BasicLlxScxHashMap {
     typename Domain::Guard g;
     Table* t = table_.load(mo::acquire);
     for (;;) {
-      const std::size_t b = bucket_of(key, t->mask);
-      Node* const head = t->heads[b];
-      Node* first = next_of(head);
-      if (first->kind == Node::kMoved) {
-        t = route(t, b);
-        continue;
-      }
-      Node* pred = head;
-      Node* cur = first;
-      std::size_t walked = 0;
-      while (cur->kind == Node::kItem && cur->key < key) {
-        pred = cur;
-        cur = next_of(cur);
-        ++walked;
-      }
-      auto lp = llx(pred);
-      if (!lp.ok()) continue;
-      cur = to_node(lp.field(Node::kNext));
-      if (cur->kind == Node::kItem && cur->key < key) continue;
-      if (cur->kind == Node::kMoved) {
-        t = route(t, b);
-        continue;
-      }
-      if (cur->kind != Node::kItem || cur->key != key) {
-        after_update(t, walked);
+      const Slot s = locate(t, key);
+      if (s.cur->kind != Node::kItem || s.cur->key != key) {
+        after_update(t, s.walked);
         return false;
       }
-      auto lc = llx(cur);
+      auto lc = llx(s.cur);
       if (!lc.ok()) continue;
       Node* succ = to_node(lc.field(Node::kNext));
       auto ls = llx(succ);
       if (!ls.ok()) continue;
       ScxOp<Node, Reclaim> op;
-      op.link(lp);
+      op.link(s.lp);
       op.remove(lc);
       op.remove(ls);  // full-delete shape: successor copied, never re-linked
       auto repl = succ->kind == Node::kTail
                       ? op.freshly(Node::TailTag{})
                       : op.freshly(succ->key, succ->value,
                                    to_node(ls.field(Node::kNext)));
-      op.write(pred, Node::kNext, repl);
+      op.write(s.pred, Node::kNext, repl);
       if (op.commit()) {
         t->items.fetch_sub(1, mo::relaxed);
-        after_update(t, walked);
+        after_update(t, s.walked);
         return true;
       }
     }
@@ -312,21 +266,10 @@ class BasicLlxScxHashMap {
 
   std::optional<std::uint64_t> get(std::uint64_t key) const {
     typename Domain::Guard g;
-    const Table* t = table_.load(mo::acquire);
-    for (;;) {
-      const Node* cur = next_of(t->heads[bucket_of(key, t->mask)]);
-      if (cur->kind == Node::kMoved) {
-        // This load of M.next is the linearization point for a sealed
-        // bucket: while it still names the frozen chain, no update to the
-        // bucket's keys can have committed anywhere (updates must first
-        // drive the finish SCX, which changes M.next).
-        const Node* fc = next_of(cur);
-        if (fc->kind == Node::kDone) {
-          t = t->next.load(mo::acquire);
-          continue;
-        }
-        cur = fc;
-      }
+    for (const Table* t = table_.load(mo::acquire);;
+         t = t->next.load(mo::acquire)) {
+      const Node* cur = chain_of(t, bucket_of(key, t->mask));
+      if (cur == nullptr) continue;  // MIGRATED: the key lives in t->next
       while (cur->kind == Node::kItem && cur->key < key) cur = next_of(cur);
       if (cur->kind == Node::kItem && cur->key == key) return cur->value;
       return std::nullopt;
@@ -347,11 +290,11 @@ class BasicLlxScxHashMap {
   // serializing — the same chase a scalar get() pays end to end per key.
   //
   // Shape contract: every shared step is the SAME instrumented next_of a
-  // scalar get() issues, in the same per-key sequence (head route, moved/
-  // done migration routing, then the ordered-chain walk) — 0 LLX, 0 CAS,
-  // per-key read counts identical to get(). One epoch guard covers the
-  // whole call; each lane's linearization point is per key, exactly as in
-  // get() (a batch is not a snapshot).
+  // scalar get() issues, in the same per-key sequence (the lane's head
+  // step is get()'s chain_of() routing, then the ordered-chain walk) —
+  // 0 LLX, 0 CAS, per-key read counts identical to get(). One epoch guard
+  // covers the whole call; each lane's linearization point is per key,
+  // exactly as in get() (a batch is not a snapshot).
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
     typename Domain::Guard g;
     constexpr std::size_t kLanes = 8;
@@ -373,18 +316,11 @@ class BasicLlxScxHashMap {
           if (st[l] == kLaneDone) continue;
           const std::uint64_t key = keys[base + l];
           if (st[l] == kLaneHead) {
-            const Node* c = next_of(t[l]->heads[bucket_of(key, t[l]->mask)]);
-            if (c->kind == Node::kMoved) {
-              // Same migration routing (and linearization argument) as
-              // get(): M.next still naming the frozen chain means no
-              // bucket update can have committed anywhere.
-              const Node* fc = next_of(c);
-              if (fc->kind == Node::kDone) {
-                t[l] = t[l]->next.load(mo::acquire);
-                __builtin_prefetch(t[l]);
-                continue;  // retry this lane at the successor table's head
-              }
-              c = fc;
+            const Node* c = chain_of(t[l], bucket_of(key, t[l]->mask));
+            if (c == nullptr) {
+              t[l] = t[l]->next.load(mo::acquire);
+              __builtin_prefetch(t[l]);
+              continue;  // retry this lane at the successor table's head
             }
             cur[l] = c;
             __builtin_prefetch(c);
@@ -409,7 +345,7 @@ class BasicLlxScxHashMap {
   std::size_t size() const {
     std::size_t n = 0;
     for_each_bucket([&](std::size_t chain) { n += chain; },
-                    [](const Node*) {});
+                    [](const Node*) {}, [] { return false; });
     return n;
   }
 
@@ -425,17 +361,14 @@ class BasicLlxScxHashMap {
   // concurrency; per-bucket guards keep exactly that contract.
   HashMapOccupancy occupancy() const {
     HashMapOccupancy o;
-    {
-      typename Domain::Guard g;
-      o.buckets = table_.load(mo::acquire)->heads.size();
-    }
+    o.buckets = bucket_count();
     for_each_bucket(
         [&](std::size_t chain) {
           o.items += chain;
           if (chain > 0) ++o.nonempty_buckets;
           o.max_bucket = std::max(o.max_bucket, chain);
         },
-        [](const Node*) {});
+        [](const Node*) {}, [] { return false; });
     o.load_factor =
         static_cast<double>(o.items) / static_cast<double>(o.buckets);
     return o;
@@ -445,33 +378,27 @@ class BasicLlxScxHashMap {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> items() const {
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
     for_each_bucket([](std::size_t) {},
-                    [&](const Node* n) { out.emplace_back(n->key, n->value); });
+                    [&](const Node* n) { out.emplace_back(n->key, n->value); },
+                    [] { return false; });
     return out;
   }
 
   // Explicitly-UNORDERED bounded scan — the container contract's scan
   // verb for engines with no key order (DESIGN.md §15): appends up to
   // `limit` ⟨key, value⟩ pairs in bucket order, returns how many were
-  // appended. Same per-bucket guard discipline as occupancy()/items()
-  // (memory-safe under concurrency, routed through the migration states),
-  // and the same contract: a sample of one serialization, not a snapshot.
+  // appended. The occupancy()/items() walk, stopped at the limit: memory-
+  // safe under concurrency, routed through the migration states, and the
+  // same contract — a sample of one serialization, not a snapshot.
   std::size_t scan_n(
       std::size_t limit,
       std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const {
     const std::size_t base = out.size();
-    std::size_t nbuckets;
-    {
-      typename Domain::Guard g;
-      nbuckets = table_.load(mo::acquire)->heads.size();
-    }
-    for (std::size_t b = 0; b < nbuckets && out.size() - base < limit; ++b) {
-      typename Domain::Guard g;
-      const Table* t = table_.load(mo::acquire);
-      if (b >= t->heads.size()) break;  // defensive; tables never shrink
-      scan_bucket(t, b, [](std::size_t) {}, [&](const Node* n) {
-        if (out.size() - base < limit) out.emplace_back(n->key, n->value);
-      });
-    }
+    for_each_bucket(
+        [](std::size_t) {},
+        [&](const Node* n) {
+          if (out.size() - base < limit) out.emplace_back(n->key, n->value);
+        },
+        [&] { return out.size() - base >= limit; });
     return out.size() - base;
   }
 
@@ -527,6 +454,78 @@ class BasicLlxScxHashMap {
     delete t;
   }
 
+  // --- the two routers ----------------------------------------------------
+
+  // The reader router: the chain holding bucket b's keys in t — the LIVE
+  // chain, or a SEALED bucket's frozen chain — or null for a MIGRATED
+  // bucket, whose keys live in t->next's buckets b and b + |t|. The load of
+  // M.next is a sealed bucket's linearization point: while it still names
+  // the frozen chain, no update to the bucket's keys can have committed
+  // anywhere (updates must first drive the finish SCX, which changes it).
+  static const Node* chain_of(const Table* t, std::size_t b) {
+    const Node* first = next_of(t->heads[b]);
+    if (first->kind != Node::kMoved) return first;
+    const Node* fc = next_of(first);
+    return fc->kind == Node::kDone ? nullptr : fc;
+  }
+
+  // An update's position for key: pred is LLX'd (every update SCX links
+  // that snapshot) and cur is pred's next as that snapshot saw it.
+  struct Slot {
+    LlxResult<Node::kNumMut> lp;
+    Node* pred;
+    Node* cur;
+    std::size_t walked;  // items walked past: the insert depth
+    std::size_t b;
+  };
+
+  // The updater cursor: key's slot in t, routing through every bucket it
+  // finds SEALED (route() migrates it and t becomes the next table), so on
+  // return t names the table the slot is in. An ok LLX of a head never
+  // shows the marker M — the seal SCX that installs M finalizes the head —
+  // so the one kMoved test sits on the walk, before the LLX.
+  Slot locate(Table*& t, std::uint64_t key) {
+    for (;;) {
+      const std::size_t b = bucket_of(key, t->mask);
+      Node* pred = t->heads[b];
+      Node* cur = next_of(pred);
+      std::size_t walked = 0;
+      for (; cur->kind == Node::kItem && cur->key < key; ++walked) {
+        pred = cur;
+        cur = next_of(cur);
+      }
+      if (cur->kind == Node::kMoved) {
+        t = route(t, b);
+        continue;
+      }
+      auto lp = llx(pred);
+      if (!lp.ok()) continue;
+      cur = to_node(lp.field(Node::kNext));
+      if (cur->kind == Node::kItem && cur->key < key) continue;  // stale
+      return {lp, pred, cur, walked, b};
+    }
+  }
+
+  // Drive bucket b of t to MIGRATED, help a stride, and hand back the next
+  // table to retry the operation on: for a bucket locate() found SEALED,
+  // or one backpressure refuses to lengthen. Never null: a sealed bucket's
+  // table always has a successor, and a table backpressure finds without
+  // one is grown — after helping the migration INTO it finish, since a
+  // table may only grow while it IS table_.
+  Table* route(Table* t, std::size_t b) {
+    while (t->next.load(mo::acquire) == nullptr) {
+      Table* const cur = table_.load(mo::acquire);
+      if (cur == t) {
+        grow(t);
+      } else {
+        help_migrate(cur);
+      }
+    }
+    migrate_bucket(t, b);
+    help_migrate(t);
+    return t->next.load(mo::acquire);
+  }
+
   // --- migration machinery ----------------------------------------------
 
   // Publish a double-size successor for t (no-op if one exists or t is no
@@ -563,14 +562,6 @@ class BasicLlxScxHashMap {
     }
   }
 
-  // The sealed-bucket path: drive bucket b of t to MIGRATED, help a
-  // stride, and hand back the next table to retry the operation on.
-  Table* route(Table* t, std::size_t b) {
-    migrate_bucket(t, b);
-    help_migrate(t);
-    return t->next.load(mo::acquire);
-  }
-
   // Claim and migrate a stride of buckets; once the cursor is exhausted,
   // sweep for buckets whose claimer stalled, so the resize completes as
   // long as ANY thread keeps updating (lock-free cooperative finish).
@@ -603,6 +594,16 @@ class BasicLlxScxHashMap {
     if (t->migrated.load(mo::acquire) == n) finish_table(t);
   }
 
+  // The copy predicate: snapshot a sealed bucket's marker M into lm
+  // (retrying while an SCX on M is in flight — M is never finalized) and
+  // report whether the bucket is unfinished, i.e. M.next is not yet kDone.
+  static bool unfinished(Node* m, LlxResult<Node::kNumMut>& lm) {
+    do {
+      lm = llx(m);
+    } while (!lm.ok());
+    return to_node(lm.field(Node::kNext))->kind != Node::kDone;
+  }
+
   // Drive bucket b of t from LIVE through SEALED to MIGRATED (idempotent;
   // any number of helpers may run it concurrently).
   void migrate_bucket(Table* t, std::size_t b) {
@@ -610,16 +611,14 @@ class BasicLlxScxHashMap {
     if (nt == nullptr) return;
     Node* const head = t->heads[b];
     for (;;) {
-      Node* first = next_of(head);
-      if (first->kind != Node::kMoved) {
+      Node* const m = next_of(head);
+      if (m->kind != Node::kMoved) {
         seal_bucket(head);
         continue;  // re-read: now head.next is a kMoved marker
       }
-      Node* const m = first;
-      auto lm = llx(m);
-      if (!lm.ok()) continue;  // a finish SCX is in flight; llx helped it
+      LlxResult<Node::kNumMut> lm;
+      if (!unfinished(m, lm)) return;  // MIGRATED
       Node* const fc = to_node(lm.field(Node::kNext));
-      if (fc->kind == Node::kDone) return;  // MIGRATED
       // Copy the frozen chain into the next table. Every copy's V
       // includes M, so copies atomically stop competing the instant the
       // finish SCX commits — a stalled helper can never resurrect a key
@@ -703,26 +702,14 @@ class BasicLlxScxHashMap {
   bool copy_into_next(Table* nt, Node* m, std::uint64_t key,
                       std::uint64_t value) {
     for (;;) {
-      auto lm = llx(m);
-      if (!lm.ok()) continue;
-      if (to_node(lm.field(Node::kNext))->kind == Node::kDone) return false;
-      Node* const head = nt->heads[bucket_of(key, nt->mask)];
-      Node* pred = head;
-      Node* cur = next_of(head);
-      while (cur->kind == Node::kItem && cur->key < key) {
-        pred = cur;
-        cur = next_of(cur);
-      }
-      auto lp = llx(pred);
-      if (!lp.ok()) continue;
-      cur = to_node(lp.field(Node::kNext));
-      if (cur->kind == Node::kItem && cur->key < key) continue;  // stale
-      if (cur->kind == Node::kItem && cur->key == key) return true;
+      LlxResult<Node::kNumMut> lm;
+      if (!unfinished(m, lm)) return false;
+      const Slot s = locate(nt, key);
+      if (s.cur->kind == Node::kItem && s.cur->key == key) return true;
       ScxOp<Node, Reclaim> op;
       op.link(lm);  // the not-finished predicate
-      op.link(lp);
-      auto n = op.freshly(key, value, cur);
-      op.write(pred, Node::kNext, n);
+      op.link(s.lp);
+      op.write(s.pred, Node::kNext, op.freshly(key, value, s.cur));
       if (op.commit()) {
         nt->items.fetch_add(1, mo::relaxed);
         return true;
@@ -749,7 +736,7 @@ class BasicLlxScxHashMap {
     Reclaim::template retire<Table>(t);
   }
 
-  // --- whole-table walks (size / occupancy / items) -----------------------
+  // --- whole-table walks (size / occupancy / items / scan_n) --------------
 
   static std::size_t walk_chain(const Node* cur, const auto& node_fn) {
     std::size_t n = 0;
@@ -760,36 +747,28 @@ class BasicLlxScxHashMap {
     return n;
   }
 
-  // Visit bucket b of t, routing through the migration states: LIVE and
-  // SEALED buckets contribute their (frozen) chain; a MIGRATED bucket's
-  // keys live in the next table's two split buckets.
+  // Visit bucket b of t: its chain_of() chain, or — once MIGRATED — the
+  // next table's two split buckets, each routed the same way.
   void scan_bucket(const Table* t, std::size_t b, const auto& chain_fn,
                    const auto& node_fn) const {
-    const Node* first = next_of(t->heads[b]);
-    if (first->kind == Node::kMoved) {
-      const Node* fc = next_of(first);
-      if (fc->kind == Node::kDone) {
-        const Table* nt = t->next.load(mo::acquire);
-        chain_fn(walk_chain(next_of(nt->heads[b]), node_fn));
-        chain_fn(walk_chain(next_of(nt->heads[b + t->heads.size()]), node_fn));
-        return;
-      }
-      first = fc;  // sealed: the frozen chain is authoritative
+    if (const Node* c = chain_of(t, b)) {
+      chain_fn(walk_chain(c, node_fn));
+      return;
     }
-    chain_fn(walk_chain(first, node_fn));
+    const Table* nt = t->next.load(mo::acquire);
+    scan_bucket(nt, b, chain_fn, node_fn);
+    scan_bucket(nt, b + t->heads.size(), chain_fn, node_fn);
   }
 
   // Guard re-entered per bucket (see occupancy()); the table pointer is
   // re-loaded under each guard because the previous generation may have
-  // been retired in between. Exact when quiescent, an estimate while the
-  // table grows underneath the walk.
-  void for_each_bucket(const auto& chain_fn, const auto& node_fn) const {
-    std::size_t nbuckets;
-    {
-      typename Domain::Guard g;
-      nbuckets = table_.load(mo::acquire)->heads.size();
-    }
-    for (std::size_t b = 0; b < nbuckets; ++b) {
+  // been retired in between. Stops before the next bucket once stop()
+  // holds. Exact when quiescent, an estimate while the table grows
+  // underneath the walk.
+  void for_each_bucket(const auto& chain_fn, const auto& node_fn,
+                       const auto& stop) const {
+    const std::size_t nbuckets = bucket_count();
+    for (std::size_t b = 0; b < nbuckets && !stop(); ++b) {
       typename Domain::Guard g;
       const Table* t = table_.load(mo::acquire);
       if (b >= t->heads.size()) break;  // defensive; tables never shrink

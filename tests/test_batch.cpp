@@ -305,7 +305,8 @@ TEST(HashMapMultiGet, SurvivesConcurrentResize) {
 
 // multi_get costs the same shared steps as the scalar loop — interleaving
 // reorders the misses, it must not add or remove reads (the pinned 0-CAS
-// Proposition 2 shape).
+// Proposition 2 shape). The hash map is checked twice: quiescent, and
+// frozen mid-migration so the lanes take the kMoved/kDone routing.
 TEST(MultiGetShape, SameStepsAsScalarGets) {
   if constexpr (!kStepCounting) {
     GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
@@ -318,8 +319,10 @@ TEST(MultiGetShape, SameStepsAsScalarGets) {
     }
     std::vector<std::uint64_t> keys;
     for (std::uint64_t k = 1; k <= 600; k += 3) keys.push_back(k);
-    std::vector<char> got(keys.size());
-    const auto check = [&](const auto& c, const char* name) {
+    const auto check = [](const auto& c,
+                          const std::vector<std::uint64_t>& keys,
+                          const char* name) {
+      std::vector<char> got(keys.size());
       const StepCounts batched = steps_of([&] {
         c.multi_get(keys.data(), keys.size(),
                     reinterpret_cast<bool*>(got.data()));
@@ -333,8 +336,22 @@ TEST(MultiGetShape, SameStepsAsScalarGets) {
       EXPECT_EQ(batched.shared_writes, 0u) << name;
       EXPECT_EQ(batched.allocations, 0u) << name;
     };
-    check(tree, "chromatic");
-    check(map, "hashmap");
+    check(tree, keys, "chromatic");
+    check(map, keys, "hashmap");
+
+    // The first insert that runs more than one SCX started a growth and
+    // migrated one stride; readers never help, so the table stays
+    // mid-migration and every key of a moved bucket routes to the next.
+    LlxScxHashMap mid(64);
+    std::uint64_t last = 0;
+    for (bool grew = false; !grew;) {
+      ++last;
+      grew = steps_of([&] { mid.insert(last, last); }).scx_calls > 1;
+    }
+    ASSERT_EQ(mid.bucket_count(), 64u) << "the migration must be in flight";
+    std::vector<std::uint64_t> all;
+    for (std::uint64_t k = 1; k <= last + 200; ++k) all.push_back(k);
+    check(mid, all, "hashmap mid-migration");
   }
 }
 

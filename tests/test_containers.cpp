@@ -1,11 +1,11 @@
 // E9's containers (stack / queue / hash map on LLX/SCX via ScxOp): the
 // semantics BEYOND the unified container concept — payload ordering
-// through pop()/dequeue(), upsert/get value visibility, occupancy — plus
-// pinned SCX shapes per operation and 4-thread stresses (value
-// conservation for the LIFO/FIFO containers, the locked-oracle harness
-// for the map), each ending with a fully drained epoch. The generic
-// insert/erase/contains/size contract these binaries used to re-test
-// per structure now lives in test_container_conformance.cpp.
+// through pop()/dequeue() — plus pinned SCX shapes per operation and
+// 4-thread stresses (value conservation for the LIFO/FIFO containers, the
+// locked-oracle harness for the map), each ending with a fully drained
+// epoch. The generic insert/erase/contains/size contract lives in
+// test_container_conformance.cpp; the map's upsert/get value visibility
+// and occupancy profile live in test_hashmap_resize.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,61 +278,6 @@ TEST(QueueStress, ConservesValuesAndPerProducerOrder) {
 
 // --- Hash map ---------------------------------------------------------------
 
-// Value visibility through get()/upsert() — the map surface the generic
-// concept (booleans only) cannot see.
-TEST(HashMap, UpsertReplacesValuesVisibleThroughGet) {
-  LlxScxHashMap m(4);  // tiny bucket count: collisions guaranteed
-  EXPECT_EQ(m.bucket_count(), 4u);
-  EXPECT_FALSE(m.get(1).has_value());
-  for (std::uint64_t k = 0; k < 64; ++k) ASSERT_TRUE(m.insert(k, k * 7));
-  for (std::uint64_t k = 0; k < 64; ++k) EXPECT_EQ(*m.get(k), k * 7) << k;
-  EXPECT_FALSE(m.upsert(10, 999)) << "existing key must report replaced";
-  EXPECT_EQ(*m.get(10), 999u);
-  EXPECT_EQ(m.size(), 64u) << "upsert must not duplicate the key";
-  Epoch::drain_all_for_testing();
-}
-
-// Occupancy counters and the resize trigger: 4096 keys into 256 buckets
-// would mean chains of 16 without growth — past the kResizeChainLen
-// trigger — so the map must have doubled (at least once) by the end, and
-// no chain may ever be observed past the kStallChainLen backpressure
-// bound.
-TEST(HashMap, OccupancyStatsAndGrowthKeepsChainsBounded) {
-  constexpr std::size_t kBuckets = 256;
-  constexpr std::uint64_t kKeys = 4096;  // mean chain 16 if it never grew
-  LlxScxHashMap m(kBuckets);
-
-  {
-    const HashMapOccupancy o = m.occupancy();
-    EXPECT_EQ(o.buckets, kBuckets);
-    EXPECT_EQ(o.items, 0u);
-    EXPECT_EQ(o.nonempty_buckets, 0u);
-    EXPECT_EQ(o.max_bucket, 0u);
-    EXPECT_EQ(o.load_factor, 0.0);
-  }
-
-  for (std::uint64_t k = 1; k <= kKeys; ++k) ASSERT_TRUE(m.insert(k, k));
-  HashMapOccupancy o = m.occupancy();
-  EXPECT_GT(o.buckets, kBuckets) << "growth must have triggered";
-  EXPECT_EQ(o.buckets, m.bucket_count());
-  EXPECT_EQ(o.items, kKeys);
-  EXPECT_EQ(o.items, m.size()) << "occupancy and size must agree";
-  EXPECT_DOUBLE_EQ(
-      o.load_factor,
-      static_cast<double>(o.items) / static_cast<double>(o.buckets));
-  EXPECT_GE(o.nonempty_buckets, kBuckets / 2)
-      << "sequential keys must not pile into a few buckets";
-  EXPECT_LE(o.max_bucket, LlxScxHashMap::kStallChainLen)
-      << "no chain may outgrow the backpressure bound";
-
-  for (std::uint64_t k = 1; k <= kKeys; k += 2) ASSERT_TRUE(m.erase(k));
-  o = m.occupancy();
-  EXPECT_EQ(o.items, kKeys / 2);
-  EXPECT_EQ(o.items, m.size());
-  EXPECT_LE(o.max_bucket, LlxScxHashMap::kStallChainLen);
-  Epoch::drain_all_for_testing();
-}
-
 // DESIGN.md §9 — the multiset's shapes, per bucket: upsert-absent k=1 ⇒
 // 2 CAS / 2 writes, upsert-present k=2 ⇒ 3 CAS / 3 writes (node
 // replacement), erase k=3 ⇒ 4 CAS / 4 writes (full-delete, successor
@@ -374,7 +319,8 @@ TEST(HashMapStress, MatchesLockedOracleUnderContention) {
   constexpr std::uint64_t kKeySpace = 256;
 
   // 16 buckets for 256 keys: long chains, so bucket-internal SCX conflicts
-  // actually happen.
+  // actually happen, and the table grows under them, so they also race
+  // live migrations (the conformance stress's 1024 buckets never grow).
   LlxScxHashMap m(16);
   testing::KeyedOracle oracle;  // net membership per key (0 or 1)
 

@@ -9,7 +9,11 @@
 //   3. all superseded chains, markers, and bucket arrays drain to zero
 //      under EbrManager once quiescent.
 // A typed companion runs the same growth sequentially under EbrManager
-// AND PoolManager (the pool recycles every migrated node's storage).
+// AND PoolManager (the pool recycles every migrated node's storage) and
+// pins the map surface the booleans-only conformance suite cannot see:
+// the occupancy profile and upsert-replaces-value through get(). A second
+// typed case grows keys that all collide in one bucket, the path where
+// backpressure routes into a table that is still being migrated into.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -76,29 +80,105 @@ TYPED_TEST(HashMapGrowth, SingleBucketToHundredThousandKeys) {
   {
     BasicLlxScxHashMap<TypeParam> m(1);
     EXPECT_EQ(m.bucket_count(), 1u);
+    const HashMapOccupancy empty = m.occupancy();
+    EXPECT_EQ(empty.buckets, 1u);
+    EXPECT_EQ(empty.items, 0u);
+    EXPECT_EQ(empty.nonempty_buckets, 0u);
+    EXPECT_EQ(empty.max_bucket, 0u);
+    EXPECT_EQ(empty.load_factor, 0.0);
+    // Sequential keys must spread over the buckets. Pinned at 2^12 keys
+    // (2^10 buckets): past 2^13 buckets bucket_of, which keeps bits 32 and
+    // up of key × φ, leaves most buckets empty for dense keys.
+    constexpr std::uint64_t kSpreadKeys = 4096;
     for (std::uint64_t k = 1; k <= kKeys; ++k) {
       ASSERT_TRUE(m.upsert(k, k * 3));
+      if (k != kSpreadKeys) continue;
+      settle(m);
+      const HashMapOccupancy spread = m.occupancy();
+      EXPECT_GE(spread.nonempty_buckets, m.bucket_count() / 2)
+          << "sequential keys must not pile into a few buckets";
+      EXPECT_LE(spread.max_bucket,
+                BasicLlxScxHashMap<TypeParam>::kStallChainLen)
+          << "no chain may outgrow the backpressure bound";
     }
     settle(m);
     EXPECT_EQ(m.size(), kKeys);
     EXPECT_GE(m.bucket_count(), kKeys / (2 * kQuiescentChainBound))
         << "the trigger must have kept doubling all the way up";
     const HashMapOccupancy o = m.occupancy();
+    EXPECT_EQ(o.buckets, m.bucket_count());
     EXPECT_EQ(o.items, kKeys);
+    EXPECT_DOUBLE_EQ(
+        o.load_factor,
+        static_cast<double>(o.items) / static_cast<double>(o.buckets));
     EXPECT_LE(o.max_bucket, kQuiescentChainBound);
     for (std::uint64_t k = 1; k <= kKeys; ++k) {
       auto v = m.get(k);
       ASSERT_TRUE(v.has_value()) << k;
       ASSERT_EQ(*v, k * 3) << "value lost in migration for key " << k;
     }
+    EXPECT_FALSE(m.upsert(10, 999)) << "existing key must report replaced";
+    EXPECT_EQ(*m.get(10), 999u);
+    EXPECT_EQ(m.size(), kKeys) << "upsert must not duplicate the key";
     // Erase everything: the shrunken load must still be exact (the map
-    // never shrinks its table, only its chains).
-    for (std::uint64_t k = 1; k <= kKeys; ++k) ASSERT_TRUE(m.erase(k));
+    // never shrinks its table, only its chains), half way and at the end.
+    for (std::uint64_t k = 1; k <= kKeys; k += 2) ASSERT_TRUE(m.erase(k));
+    EXPECT_EQ(m.size(), kKeys / 2);
+    EXPECT_EQ(m.occupancy().items, m.size());
+    for (std::uint64_t k = 2; k <= kKeys; k += 2) ASSERT_TRUE(m.erase(k));
     EXPECT_EQ(m.size(), 0u);
   }
   Epoch::drain_all_for_testing();
   EXPECT_EQ(Epoch::outstanding(), 0u)
       << "every migrated chain, marker, and bucket array must drain";
+}
+
+// Keys j << 40 all land in one bucket until the table reaches 512 buckets:
+// bucket_of keeps bits 32 and up of key × φ, and those products are zero
+// below bit 40. So the early inserts keep hitting the backpressure bound
+// in a next table that is not yet table_ and has no successor of its own;
+// routing there must grow the table, never hand back a null one. Run once
+// from one thread and once from four writers on disjoint key blocks.
+TYPED_TEST(HashMapGrowth, CollidingKeysGrowPastTheCollision) {
+  const auto key = [](std::uint64_t j) { return j << 40; };
+  const auto check = [&](BasicLlxScxHashMap<TypeParam>& m, std::uint64_t n) {
+    for (std::uint64_t j = 1; j <= n; ++j) {
+      const auto v = m.get(key(j));
+      ASSERT_TRUE(v.has_value()) << j;
+      ASSERT_EQ(*v, j) << j;
+    }
+    EXPECT_LE(m.occupancy().max_bucket, kQuiescentChainBound);
+    for (std::uint64_t j = 1; j <= n; ++j) ASSERT_TRUE(m.erase(key(j))) << j;
+    EXPECT_EQ(m.size(), 0u);
+  };
+  {
+    constexpr std::uint64_t kKeys = 1000;
+    BasicLlxScxHashMap<TypeParam> m(1);
+    for (std::uint64_t j = 1; j <= kKeys; ++j) {
+      ASSERT_TRUE(m.upsert(key(j), j)) << j;
+    }
+    check(m, kKeys);
+  }
+  {
+    constexpr int kWriters = 4;
+    constexpr std::uint64_t kBlock = 500;
+    BasicLlxScxHashMap<TypeParam> m(1);
+    SpinBarrier barrier(kWriters);
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        const std::uint64_t first = static_cast<std::uint64_t>(w) * kBlock + 1;
+        barrier.arrive_and_wait();
+        for (std::uint64_t j = first; j < first + kBlock; ++j) {
+          EXPECT_TRUE(m.upsert(key(j), j)) << j;
+        }
+      });
+    }
+    for (std::thread& th : writers) th.join();
+    check(m, kWriters * kBlock);
+  }
+  Epoch::drain_all_for_testing();
+  EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 
 // Regression for the depth-vs-length trigger bug: a DESCENDING key stream
