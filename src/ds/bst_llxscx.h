@@ -32,8 +32,9 @@
 //
 // The search/update/retry scaffolding lives in ds/tree_template.h (the
 // tree-update template, DESIGN.md §11): this class supplies only the
-// routing predicates and the two fresh-subtree builders. The template
-// emits byte-identical shared-step sequences to the previous hand-rolled
+// routing predicates, the one insert builder (build_group; for one key it
+// is the insert shape above) and the erase copy. The template emits
+// byte-identical shared-step sequences to the previous hand-rolled
 // loops — the pinned CAS/write/alloc shapes in test_bst are the proof.
 #pragma once
 
@@ -106,15 +107,6 @@ class BasicLlxScxBst
   }
   bool is_user_leaf(const Node* n) const { return n->key < kInf1; }
 
-  // insert(k) displacing leaf l: internal(max(k, l.key), leaf(k), l′).
-  Fresh<Node> build_insert(Op& op, Node* l, const Snapshot& /*ll*/,
-                           std::uint64_t key, std::uint64_t value) {
-    auto nl = op.freshly(key, value);
-    auto lcopy = op.freshly(l->key, l->value);
-    return key < l->key ? op.freshly(l->key, nl.get(), lcopy.get())
-                        : op.freshly(key, lcopy.get(), nl.get());
-  }
-
   // delete(k): fresh sibling copy (children taken from the LLX snapshot).
   Fresh<Node> copy_for_erase(Op& op, Node* /*p*/, Node* s, const Snapshot& ls) {
     return s->leaf ? op.freshly(s->key, s->value)
@@ -148,10 +140,11 @@ class BasicLlxScxBst
     return kGroupCap;
   }
 
-  // insert_all() group build (DESIGN.md §15): ONE SCX installs a balanced
+  // Every insert's build (DESIGN.md §15): ONE SCX installs a balanced
   // fresh subtree over the group's new leaves plus the displaced leaf's
-  // copy. The displaced leaf and the run keys all live inside the target
-  // edge's key interval, so plain key order is the tree order.
+  // copy — for one key k, internal(max(k, l.key), leaf(k), l′). The
+  // displaced leaf and the group keys all live inside the target edge's
+  // key interval, so plain key order is the tree order.
   Fresh<Node> build_group(Op& op, Node* l, const Snapshot& /*lt*/,
                           const std::uint64_t* ks, std::size_t m,
                           std::uint64_t value) {

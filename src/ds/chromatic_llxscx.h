@@ -180,18 +180,6 @@ class BasicLlxScxChromatic
   }
   bool is_user_leaf(const Node* n) const { return n->key < kInf1; }
 
-  // insert(k) displacing leaf l: internal gets w(l) − 1 (l is a leaf, so
-  // w(l) ≥ 1 by the leaf-weight invariant), the two leaves get 1 — the
-  // path sum through the position stays exactly w(l).
-  Fresh<Node> build_insert(Op& op, Node* l, const Snapshot& /*ll*/,
-                           std::uint64_t key, std::uint64_t value) {
-    auto nl = op.freshly(key, value, std::uint32_t{1});
-    auto lcopy = op.freshly(l->key, l->value, std::uint32_t{1});
-    const std::uint32_t w = l->weight - 1;
-    return key < l->key ? op.freshly(l->key, w, nl.get(), lcopy.get())
-                        : op.freshly(key, w, lcopy.get(), nl.get());
-  }
-
   // delete(k): the sibling copy absorbs the unlinked parent's weight —
   // w(s′) = w(p) + w(s) keeps every surviving path sum unchanged.
   Fresh<Node> copy_for_erase(Op& op, Node* p, Node* s, const Snapshot& ls) {
@@ -206,11 +194,6 @@ class BasicLlxScxChromatic
   // created a violation (the ≤-1-new-violation property makes the check
   // local). `repl`/`scopy` are published but guard-protected; all fields
   // read here are immutable.
-  void after_insert(std::uint64_t key, Node* repl, Node* p) {
-    if ((repl->weight == 0 && p->weight == 0) || repl->weight >= 2) {
-      cleanup(key);
-    }
-  }
   void after_erase(std::uint64_t key, Node* scopy) {
     if (scopy->weight >= 2) cleanup(key);
   }
@@ -244,10 +227,12 @@ class BasicLlxScxChromatic
     return (p->weight == 0 && t->weight == 1) ? 1 : kGroupCap;
   }
 
-  // insert_all() group build: balanced fresh subtree, root carries
-  // w(t)−1, every other internal 0, every leaf 1 — each root-to-leaf sum
-  // is (w(t)−1) + 0… + 1 = w(t), so weighted-path equality is preserved
-  // exactly, like the scalar insert shape.
+  // Every insert's build: balanced fresh subtree, root carries w(t)−1
+  // (t is a leaf, so w(t) ≥ 1 by the leaf-weight invariant), every other
+  // internal 0, every leaf 1 — each root-to-leaf sum is
+  // (w(t)−1) + 0… + 1 = w(t), so weighted-path equality is preserved
+  // exactly. One key gives the scalar insert shape: internal(w(t)−1)
+  // over two weight-1 leaves.
   Fresh<Node> build_group(Op& op, Node* l, const Snapshot& /*lt*/,
                           const std::uint64_t* ks, std::size_t m,
                           std::uint64_t value) {
@@ -277,18 +262,17 @@ class BasicLlxScxChromatic
     return op.freshly(ls[mid].first, w, left.get(), right.get());
   }
 
-  // Per-group violation cleanup. For m = 2 the left-heavy build puts the
-  // weight-0 inner internal over the two SMALLEST leaves, and min(group)
-  // is always among those two, so one cleanup toward ks[0] walks past
-  // both candidate violations (red-red at the inner internal, overweight
-  // at the group root).
+  // Per-group violation cleanup. The group root is overweight when
+  // w(t) ≥ 3. A red root (w(t) = 1) is a violation for one key only under
+  // a red p; for m = 2 it is one always, red-red at the inner internal
+  // (group_cap already kept a red p out). The left-heavy build puts that
+  // inner internal over the two SMALLEST leaves, and min(group) is always
+  // among those two, so one cleanup toward ks[0] walks past every
+  // candidate violation.
   void after_insert_all(const std::uint64_t* ks, std::size_t m, Node* repl,
                         Node* p) {
-    if (m == 1) {
-      after_insert(ks[0], repl, p);
-      return;
-    }
-    if (repl->weight == 0 || repl->weight >= 2) cleanup(ks[0]);
+    const bool redred = repl->weight == 0 && (m > 1 || p->weight == 0);
+    if (redred || repl->weight >= 2) cleanup(ks[0]);
   }
 
   // Fix every violation on the search path toward `key`. Each fix SCX

@@ -4,9 +4,10 @@
 // drive any structure generically.
 //
 //   insert(key, value) — add an element; true iff a NEW key/element was
-//                        added (maps: upsert, false = value replaced;
-//                        stack/queue: push/enqueue a ⟨key,value⟩ element,
-//                        always true).
+//                        added (hash map: upsert, false = value replaced;
+//                        trees: insert-if-absent, false = key present and
+//                        its old value kept; stack/queue: push/enqueue a
+//                        ⟨key,value⟩ element, always true).
 //   erase(key)         — remove; true iff something was removed. Ordered
 //                        containers remove by key; LIFO/FIFO containers
 //                        document key-independent removal (pop/dequeue the
@@ -98,9 +99,10 @@ void container_multi_get(const C& c, const std::uint64_t* keys, std::size_t n,
 //   scan_n(limit, out)   — append up to `limit` pairs in NO particular
 //                          order (unordered engines; the hash map's walks
 //                          buckets under per-bucket guards)
-//   insert_all(keys, n, value) — bulk insert of a sorted ascending run,
+//   insert_all(keys, n, value) — bulk insert of a run in any order,
 //                          return how many keys were newly inserted (the
-//                          trees amortize one SCX per leaf group)
+//                          trees amortize one SCX per leaf group; sorted
+//                          runs are what group)
 //   items()              — full ⟨key, value⟩ snapshot, quiescent only
 // The fallbacks below keep the verbs total over the whole engine matrix:
 // containers without a native range answer from items() (sorted + filtered
@@ -196,8 +198,8 @@ std::size_t container_scan(const C& c, std::uint64_t lo, std::uint64_t span,
   }
 }
 
-// Bulk insert of a sorted ascending run; serial fallback for engines
-// without a native grouped build.
+// Bulk insert of a run in any order; serial fallback for engines without
+// a native grouped build.
 template <typename C>
   requires LlxScxContainer<C>
 std::size_t container_insert_all(C& c, const std::uint64_t* keys,

@@ -34,8 +34,9 @@
 //
 // The search/update/retry scaffolding lives in ds/tree_template.h (the
 // tree-update template, DESIGN.md §11); this class supplies routing by
-// bit, the prefix-mismatch walk predicate, and the fresh-subtree
-// builders. Shared-step sequences are byte-identical to the previous
+// bit, the prefix-mismatch walk predicate, the one insert builder
+// (build_group; for one key it is the split shape above) and the erase
+// copy. Shared-step sequences are byte-identical to the previous
 // hand-rolled loops (pinned in test_patricia).
 #pragma once
 
@@ -123,21 +124,6 @@ class BasicLlxScxPatricia
     return ((key ^ n->prefix) >> n->bit) >> 1 == 0;
   }
 
-  // insert(k) splitting the edge p→n at the highest differing bit b:
-  // branch(b) over leaf(k) and a fresh copy of n.
-  Fresh<Node> build_insert(Op& op, Node* n, const Snapshot& ln,
-                           std::uint64_t key, std::uint64_t value) {
-    const std::uint64_t other = n->leaf ? n->key() : n->prefix;
-    // Highest differing bit; > n->bit for a branch by the prefix check.
-    const unsigned b =
-        63 - static_cast<unsigned>(std::countl_zero(key ^ other));
-    auto ncopy = copy_of(op, n, ln);
-    auto nl = op.freshly(key, value);
-    const std::uint64_t pfx = key & ~((std::uint64_t{2} << b) - 1);
-    return ((key >> b) & 1) ? op.freshly(pfx, b, ncopy.get(), nl.get())
-                            : op.freshly(pfx, b, nl.get(), ncopy.get());
-  }
-
   Fresh<Node> copy_for_erase(Op& op, Node* /*p*/, Node* s, const Snapshot& ls) {
     return copy_of(op, s, ls);
   }
@@ -181,13 +167,15 @@ class BasicLlxScxPatricia
     return kGroupCap;
   }
 
-  // insert_all() group build: the canonical compressed trie over the
-  // group's new leaves plus ONE copy of the displaced node t, treated as
-  // an atomic item. Items are ordered by representative key (a leaf's
-  // key; t's branch prefix = the low end of its covered interval — group
-  // keys never fall inside that interval, they all mismatch t's prefix,
-  // so representative order is trie order and every split bit chosen
-  // between items stays above t->bit).
+  // Every insert's build: the canonical compressed trie over the group's
+  // new leaves plus ONE copy of the displaced node t, treated as an
+  // atomic item. Items are ordered by representative key (a leaf's key;
+  // t's branch prefix = the low end of its covered interval — group keys
+  // never fall inside that interval, they all mismatch t's prefix, so
+  // representative order is trie order and every split bit chosen
+  // between items stays above t->bit). For one key k that is
+  // branch(b, leaf(k), t′) on the highest bit b where k and t differ —
+  // a leaf's split and a compressed branch edge's split alike.
   Fresh<Node> build_group(Op& op, Node* t, const Snapshot& lt,
                           const std::uint64_t* ks, std::size_t m,
                           std::uint64_t value) {

@@ -28,20 +28,30 @@
 //                                prefix mismatch). Re-checked against the
 //                                parent's LLX snapshot, so everything the
 //                                SCX consumes is snapshot-derived.
-//   build_insert(op, n, ln, k, v)  the fresh replacement subtree for an
-//                                insert displacing n (snapshot ln)
+//   static clamp_interval(n, dir, lo, hi)
+//                                narrows [lo, hi] to the keys routed into
+//                                n's dir subtree (insert_all's grouping)
+//   kGroupCap, group_cap(p, t)   the most keys one insert SCX installs
+//   build_group(op, t, lt, ks, m, v)
+//                                the fresh replacement subtree for an
+//                                insert of the m ascending keys ks
+//                                displacing t (snapshot lt); m = 1 is the
+//                                scalar insert shape
 //   copy_for_erase(op, p, s, ls)   the fresh sibling copy an erase
 //                                installs (chromatic: carries w(p)+w(s))
+//   static scan_dir(n, dir, lo, hi)  range()'s subtree pruning
 //   is_user_leaf(n)              sentinel filter for items()/depth_stats()
-//   after_insert(k, repl, p) / after_erase(k, scopy)
+//   after_insert_all(ks, m, repl, p) / after_erase(k, scopy)
 //                                post-commit hooks (no-ops here; the
 //                                chromatic tree hangs its violation
 //                                cleanup off them)
 //
-// The engine emits byte-identical shared-step sequences to the previous
-// hand-written BST/Patricia code — same LLX calls, same SCX shapes
-// (insert SCX(V=⟨p,l⟩,R=⟨l⟩), erase SCX(V=⟨gp,p,s⟩,R=⟨p,s⟩)), same
-// allocation counts — so the pinned CAS/write/alloc tests of
+// insert() is a one-key insert_all(), and for one key build_group
+// allocates the three records of the hand-written scalar insert in the
+// same shape. So the engine emits byte-identical shared-step sequences to
+// the previous hand-written BST/Patricia code — same LLX calls, same SCX
+// shapes (insert SCX(V=⟨p,l⟩,R=⟨l⟩), erase SCX(V=⟨gp,p,s⟩,R=⟨p,s⟩)),
+// same allocation counts — and the pinned CAS/write/alloc tests of
 // test_bst/test_patricia pass unchanged (the zero-overhead proof, as in
 // the PR 3 ScxOp port). The hooks are header-visible and the after_*
 // defaults are empty, so the compiler erases the indirection.
@@ -242,30 +252,37 @@ class TreeTemplate {
     }
   }
 
-  // Bulk insert of a sorted ascending run (DESIGN.md §15); duplicates in
-  // the run and keys already present are consumed without effect. Returns
-  // how many keys were newly inserted. Each maximal group of consecutive
-  // run keys routing to the same insertion edge p→t is installed by ONE
-  // SCX — same V = ⟨p, t⟩, R = ⟨t⟩ shape as a scalar insert, but the
-  // fresh subtree carries the whole group (2·G+1 fresh nodes for G keys),
-  // amortizing the per-key LLX/SCX cost that makes a grow
-  // phase insert-bound. Grouping is exact, not heuristic: the walk
-  // narrows the key interval [glo, ghi] routed to the target edge via the
-  // engine's clamp_interval hook, and a run key joins the group iff it
-  // lies in the interval and does not descend into the (snapshot-derived)
-  // target — i.e. iff its own scalar walk would end at this edge. The
-  // engine's group_cap hook bounds the group (fresh-array bound; the
+  // Bulk insert (DESIGN.md §15), and the trees' one insert path: insert()
+  // is a one-key run. Keys may come in any order; duplicates in the run
+  // and keys already present are consumed without effect. Returns how
+  // many keys were newly inserted. Each maximal group of consecutive,
+  // ascending run keys routing to the same insertion edge p→t is
+  // installed by ONE SCX — V = ⟨p, t⟩, R = ⟨t⟩, the scalar insert shape —
+  // whose fresh subtree carries the whole group (2·G+1 fresh nodes for G
+  // keys), amortizing the per-key LLX/SCX cost that makes a grow phase
+  // insert-bound. Grouping is exact, not heuristic: the walk narrows the
+  // key interval [glo, ghi] routed to the target edge via the engine's
+  // clamp_interval hook, and a run key joins the group iff it lies in the
+  // interval, does not descend into the (snapshot-derived) target — i.e.
+  // iff its own scalar walk would end at this edge — and is above the
+  // group's last key. Any other key ends the group and the next walk
+  // starts from it: an unsorted run is correct, sorted runs are what
+  // group. The engine's group_cap hook bounds the group by kGroupCap (the
   // chromatic tree also shrinks it to keep ≤1 balance violation per
-  // group, see chromatic_llxscx.h).
+  // group, see chromatic_llxscx.h). The group is a kGroupCap-key array,
+  // so the records the SCXs install are the only heap allocations.
   std::size_t insert_all(const std::uint64_t* keys, std::size_t n,
                          std::uint64_t value) {
+    static_assert(2 * Derived::kGroupCap + 1 <= Op::kMaxFresh,
+                  "a full group's fresh subtree must fit one ScxOp");
     typename Domain::Guard g;
     std::size_t inserted = 0;
-    std::vector<std::uint64_t> grp;
+    std::uint64_t grp[Derived::kGroupCap] = {};
     std::size_t i = 0;
     while (i < n) {
       const std::uint64_t key = keys[i];
-      // Interval-tracked walk to the insertion edge p→t.
+      // Interval-tracked plain-read walk to the insertion edge p→t;
+      // everything the SCX consumes is re-derived from p's LLX snapshot.
       Node* p = self().root_ptr();
       std::size_t dir = self().root_dir(key);
       std::uint64_t glo = 0;
@@ -282,24 +299,25 @@ class TreeTemplate {
       if (!lp.ok()) continue;  // frozen or finalized underfoot: re-walk
       t = to_node(lp.field(dir));
       if (Derived::can_descend(t, key)) continue;  // edge moved: re-walk
-      // Collect the group from the snapshot-derived target.
+      // Collect the group from the snapshot-derived target. keys[i] lies
+      // in [glo, ghi], so it is consumed or grouped: every pass advances.
       const std::size_t cap = self().group_cap(p, t);
       const bool t_leaf = Derived::is_leaf(t);
       const std::uint64_t tkey = t_leaf ? Derived::key_of(t) : 0;
-      grp.clear();
+      std::size_t m = 0;
       std::size_t j = i;
-      while (j < n && grp.size() < cap) {
+      for (; j < n && m < cap; ++j) {
         const std::uint64_t k = keys[j];
-        if (k > ghi) break;                       // leaves this edge's interval
-        if (Derived::can_descend(t, k)) break;    // would walk INTO t (Patricia)
-        if ((t_leaf && k == tkey) || (!grp.empty() && grp.back() == k)) {
-          ++j;  // already present / duplicate within the run: consume
-          continue;
+        // glo rises to the last grouped key, so a key below it is outside
+        // the edge or descending: either way the next walk starts there.
+        if (k < glo || k > ghi) break;
+        if (Derived::can_descend(t, k)) break;  // would walk INTO t (Patricia)
+        if ((t_leaf && k == tkey) || (m > 0 && k == glo)) {
+          continue;  // already present / duplicate within the run: consume
         }
-        grp.push_back(k);
-        ++j;
+        grp[m++] = glo = k;
       }
-      if (grp.empty()) {
+      if (m == 0) {
         i = j;  // a run of present keys / duplicates: nothing to install
         continue;
       }
@@ -308,15 +326,12 @@ class TreeTemplate {
       Op op;
       op.link(lp);
       op.remove(lt);
-      auto repl =
-          grp.size() == 1
-              ? self().build_insert(op, t, lt, grp[0], value)
-              : self().build_group(op, t, lt, grp.data(), grp.size(), value);
+      auto repl = self().build_group(op, t, lt, grp, m, value);
       op.write(p, dir, repl);
       Node* installed = repl.get();
       if (op.commit()) {
-        self().after_insert_all(grp.data(), grp.size(), installed, p);
-        inserted += grp.size();
+        self().after_insert_all(grp, m, installed, p);
+        inserted += m;
         i = j;
       }
       // Failed SCX: re-walk the same position (i unchanged).
@@ -354,38 +369,10 @@ class TreeTemplate {
     return count;
   }
 
-  // Insert-if-absent; returns whether the key was inserted.
+  // Insert-if-absent (an existing key keeps its value); returns whether
+  // the key was inserted. A one-key insert_all: one path, one set of pins.
   bool insert(std::uint64_t key, std::uint64_t value) {
-    typename Domain::Guard g;
-    for (;;) {
-      // Plain-read walk to the insertion edge p→n; everything the SCX
-      // consumes is re-derived from the LLX snapshot of p below.
-      Node* p = self().root_ptr();
-      std::size_t dir = self().root_dir(key);
-      Node* n = read_child(p, dir);
-      while (Derived::can_descend(n, key)) {
-        p = n;
-        dir = Derived::dir_of(p, key);
-        n = read_child(p, dir);
-      }
-      auto lp = llx(p);
-      if (!lp.ok()) continue;  // frozen or finalized underfoot: re-walk
-      n = to_node(lp.field(dir));
-      if (Derived::can_descend(n, key)) continue;  // edge moved: re-walk
-      if (Derived::is_leaf(n) && Derived::key_of(n) == key) return false;
-      auto ln = llx(n);
-      if (!ln.ok()) continue;
-      Op op;
-      op.link(lp);
-      op.remove(ln);
-      auto repl = self().build_insert(op, n, ln, key, value);
-      op.write(p, dir, repl);
-      Node* installed = repl.get();
-      if (op.commit()) {
-        self().after_insert(key, installed, p);
-        return true;
-      }
-    }
+    return insert_all(&key, 1, value) == 1;
   }
 
   // Removes key if present; returns whether it was removed.
@@ -494,13 +481,11 @@ class TreeTemplate {
 
  protected:
   // Hook defaults: structures without post-commit work (BST, Patricia)
-  // inherit these and pay nothing.
-  void after_insert(std::uint64_t, Node*, Node*) {}
-  void after_erase(std::uint64_t, Node*) {}
-  // Post-commit hook for a committed insert_all group (the chromatic tree
-  // hangs its per-group violation cleanup here; keys are the group's new
-  // keys, ascending).
+  // inherit these and pay nothing. after_insert_all runs once per
+  // committed insert group (keys: the group's new keys, ascending; repl:
+  // the installed subtree; p: its parent); after_erase once per erase.
   void after_insert_all(const std::uint64_t*, std::size_t, Node*, Node*) {}
+  void after_erase(std::uint64_t, Node*) {}
 
   // Capture a VLX witness for interior node n: accept only an info word
   // whose operation is DECIDED (see range()); help an in-progress one and

@@ -294,10 +294,11 @@ class ShardedMap {
     return out.size() - base;
   }
 
-  // Bulk insert of a sorted run: group keys by shard (the counting sort
-  // is stable, so each shard's slice stays ascending), then ONE
-  // DomainScope + Guard per non-empty shard around the engine's own
-  // insert_all — the trees' grouped leaf builds ride through.
+  // Bulk insert of a run in any order: group keys by shard (the counting
+  // sort is stable, so each shard's slice keeps the run's order — a
+  // sorted run stays sorted, which is what the trees' insert_all groups),
+  // then ONE DomainScope + Guard per non-empty shard around the engine's
+  // own insert_all.
   std::size_t insert_all(const std::uint64_t* keys, std::size_t n,
                          std::uint64_t value) {
     if (n == 0) return 0;
@@ -326,7 +327,6 @@ class ShardedMap {
   std::size_t shard_for(std::uint64_t key) const {
     return split_(key, shard_bits_);
   }
-  std::size_t shard_of(std::uint64_t key) const { return shard_for(key); }
 
   // Occupancy/stats hook: fn(index, const Engine&, DomainReclaimStats),
   // called under the shard's scope so engine walks pin the right epoch.

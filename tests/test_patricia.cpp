@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "ds/patricia_llxscx.h"
@@ -132,6 +133,23 @@ TEST(Patricia, TreeUpdateScxShapesArePinned) {
   EXPECT_EQ(d.cas, 4u) << "delete: k+1 CAS with k=3";
   EXPECT_EQ(d.shared_writes, 4u) << "delete: f+2 writes with f=2";
   EXPECT_EQ(d.allocations, 1u) << "1 fresh sibling copy";
+
+  // A compressed branch edge splits like a leaf: 0b0001 leaves the bit-1
+  // branch over {0b1000, 0b1010} at bit 3, so the insert lands on the
+  // edge above that branch and installs branch(3, leaf(1), branch′) —
+  // the same SCX shape.
+  Stats::reset_mine();
+  ASSERT_TRUE(t.insert(0b0001, 4));
+  d = Stats::my_snapshot();
+  EXPECT_EQ(d.llx_calls, 2u);
+  EXPECT_EQ(d.scx_calls, 1u);
+  EXPECT_EQ(d.scx_fail, 0u);
+  EXPECT_EQ(d.cas, 3u) << "branch split: k+1 CAS with k=2";
+  EXPECT_EQ(d.shared_writes, 3u) << "branch split: f+2 writes with f=1";
+  EXPECT_EQ(d.allocations, 3u) << "branch + leaf + branch copy";
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
+      {0b0001, 4}, {0b1000, 1}, {0b1010, 2}};
+  EXPECT_EQ(t.items(), want);
   Epoch::drain_all_for_testing();
 }
 

@@ -13,9 +13,12 @@
 //     BST is exactly 2 SCXs (two 16-key groups), into an empty Patricia
 //     exactly 3 (the trie's branch intervals bound the middle group);
 //   - insert_all() is observationally equivalent to the scalar insert
-//     loop: same return count, identical quiescent items(), and on the
-//     chromatic tree a clean consistency audit (the ≤1-violation-per-
-//     group weight discipline feeds the existing cleanup);
+//     loop, on sorted runs and on runs in draw order: same return count,
+//     identical quiescent items(), and on the chromatic tree a clean
+//     consistency audit (the ≤1-violation-per-group weight discipline
+//     feeds the existing cleanup);
+//   - an insert calls operator new only for the records its SCXs
+//     install: 3 per absent key, 0 per present key, 2·G+1 per group;
 //   - the multiset's range() walks its window in ascending order and the
 //     hash map's scan_n() is a bounded, duplicate-free sample.
 #include <gtest/gtest.h>
@@ -240,6 +243,11 @@ void expect_bulk_matches_scalar(const std::vector<std::uint64_t>& run,
   container_range(bulk, 0, ~std::uint64_t{0}, got);
   container_range(scalar, 0, ~std::uint64_t{0}, want);
   EXPECT_EQ(got, want) << C::kName;
+  // Scalar insert is a one-key insert_all, so also check an oracle.
+  const std::set<std::uint64_t> distinct(run.begin(), run.end());
+  RangeOut oracle;
+  for (const std::uint64_t k : distinct) oracle.emplace_back(k, value);
+  EXPECT_EQ(want, oracle) << C::kName;
   if constexpr (requires { bulk.consistency_error(); }) {
     EXPECT_EQ(bulk.consistency_error(), std::nullopt)
         << C::kName << ": group weights must leave a balanced tree "
@@ -250,13 +258,16 @@ void expect_bulk_matches_scalar(const std::vector<std::uint64_t>& run,
 template <class C>
 void run_bulk_equivalence() {
   Xoshiro256 rng(0xB17D);
-  for (int round = 0; round < 8; ++round) {
+  for (int round = 0; round < 12; ++round) {
     std::vector<std::uint64_t> run;
     const std::size_t n = 1 + rng.below(600);
     for (std::size_t i = 0; i < n; ++i) {
       run.push_back(1 + rng.below(512));  // dense: dups and regroups galore
     }
-    std::sort(run.begin(), run.end());
+    // Rounds 8.. keep draw order: any order is correct, only sorted
+    // stretches group. A descending key, or one below the target edge's
+    // interval (a present key emptied the group), must end the group.
+    if (round < 8) std::sort(run.begin(), run.end());
     expect_bulk_matches_scalar<C>(run, 42);
   }
   // The ascending dense run — the bench's grow stream.
@@ -285,6 +296,45 @@ TEST(InsertAllEquivalence, IdempotentOverExistingKeys) {
   EXPECT_EQ(t.insert_all(run.data(), run.size(), 1), 0u);
   EXPECT_EQ(t.size(), run.size());
   EXPECT_EQ(t.consistency_error(), std::nullopt);
+}
+
+// --- inserts: the only heap allocations are the installed records ----------
+
+// Under LeakyManager a retire allocates nothing (the node is dropped), so a
+// thread's operator new count across an insert is exactly the records its
+// SCXs install: 3 for an absent key (new leaf, displaced-leaf copy, new
+// parent), 0 for a present key, and 2·G+1 per insert_all group — 66 for
+// 1..32 into an empty BST (two 16-key groups), 67 for the Patricia trie
+// (groups of 16, 15 and 1 keys; see InsertAllShape above). A heap-allocated
+// group buffer would show up on top of those.
+template <class Tree>
+void expect_inserts_allocate_only_records(std::size_t bulk_news) {
+  testing::ScopedExpectedLeak expected_leak;
+  const auto news_of = [](auto&& fn) {
+    const std::size_t before = t_heap_news;
+    fn();
+    return t_heap_news - before;
+  };
+  bool absent = false, present = true;
+  std::size_t inserted = 0;
+  Tree t;
+  ASSERT_TRUE(t.insert(100, 1));  // warm-up: the thread's epoch + SCX slot
+  EXPECT_EQ(news_of([&] { absent = t.insert(200, 2); }), 3u) << Tree::kName;
+  EXPECT_EQ(news_of([&] { present = t.insert(200, 3); }), 0u) << Tree::kName;
+  EXPECT_TRUE(absent);
+  EXPECT_FALSE(present);
+  Tree bulk;
+  std::uint64_t keys[32];
+  for (std::uint64_t i = 0; i < 32; ++i) keys[i] = i + 1;
+  EXPECT_EQ(news_of([&] { inserted = bulk.insert_all(keys, 32, 5); }),
+            bulk_news)
+      << Tree::kName;
+  EXPECT_EQ(inserted, 32u);
+}
+
+TEST(InsertHeap, InsertsAllocateOnlyTheirFreshRecords) {
+  expect_inserts_allocate_only_records<BasicLlxScxBst<LeakyManager>>(66);
+  expect_inserts_allocate_only_records<BasicLlxScxPatricia<LeakyManager>>(67);
 }
 
 // --- multiset range / hashmap scan_n ----------------------------------------

@@ -41,9 +41,9 @@ TEST(ShardedMap, RoutingIsDeterministicAndInBounds) {
   ASSERT_EQ(m.shard_count(), 4u);
   std::set<std::size_t> hit;
   for (std::uint64_t k = 0; k < 4096; ++k) {
-    const std::size_t s = m.shard_of(k);
+    const std::size_t s = m.shard_for(k);
     ASSERT_LT(s, m.shard_count());
-    ASSERT_EQ(s, m.shard_of(k));  // same key, same shard, every time
+    ASSERT_EQ(s, m.shard_for(k));  // same key, same shard, every time
     hit.insert(s);
   }
   // The Fibonacci high-bits splitter must actually spread dense keys.
@@ -64,7 +64,7 @@ TEST(ShardedMap, InsertsLandOnTheShardTheSplitterNames) {
   m.for_each_shard([&](std::size_t i, const LlxScxHashMap& engine,
                        DomainReclaimStats) {
     for (std::uint64_t k = 1; k <= 512; ++k) {
-      EXPECT_EQ(engine.contains(k), m.shard_of(k) == i) << "key " << k;
+      EXPECT_EQ(engine.contains(k), m.shard_for(k) == i) << "key " << k;
     }
     per_shard_total += engine.size();
   });
@@ -126,9 +126,9 @@ TEST(ShardedMap, GuardOnOneShardDoesNotBlockAnotherShardsDrain) {
   // Two keys on different shards.
   const std::uint64_t ka = 1;
   std::uint64_t kb = 2;
-  while (m.shard_of(kb) == m.shard_of(ka)) ++kb;
-  const std::size_t a = m.shard_of(ka);
-  const std::size_t b = m.shard_of(kb);
+  while (m.shard_for(kb) == m.shard_for(ka)) ++kb;
+  const std::size_t a = m.shard_for(ka);
+  const std::size_t b = m.shard_for(kb);
 
   // Pin shard A: the guard binds to the domain current at construction
   // and keeps pinning it after the scope unwinds (epoch.h rule 1).
@@ -218,7 +218,7 @@ TEST(ShardedMap, RangeMergesEveryWidthLikeTheOracle) {
     Xoshiro256 rng(0x5A4D + width);
     std::set<std::uint64_t> oracle;
     const auto add = [&](std::uint64_t k) {
-      if (width >= 4 && m.shard_of(k) % 3 == 1) return;
+      if (width >= 4 && m.shard_for(k) % 3 == 1) return;
       if (oracle.insert(k).second) {
         ASSERT_TRUE(m.insert(k, k ^ 0x5A));
       }
