@@ -14,6 +14,7 @@
 
 #include "bench/bench_common.h"
 #include "llxscx/llx_scx.h"
+#include "reclaim/epoch.h"
 
 namespace llxscx {
 namespace {

@@ -13,6 +13,7 @@
 
 #include "bench/bench_common.h"
 #include "llxscx/llx_scx.h"
+#include "reclaim/record_manager.h"
 #include "util/random.h"
 
 namespace llxscx {
@@ -69,7 +70,7 @@ ModeResult run_mode(int threads, bool disjoint) {
   for (auto s : successes) total_success += s;
   for (auto& set : cells) {
     Epoch::Guard g;
-    for (auto* c : set) retire_record(c);
+    for (auto* c : set) EbrManager::retire(c);
   }
   return ModeResult{r.ops_per_sec(),
                     r.total_ops ? 100.0 * total_success / r.total_ops : 0,

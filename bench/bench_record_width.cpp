@@ -13,6 +13,7 @@
 #include "baselines/mcas.h"
 #include "bench/bench_common.h"
 #include "llxscx/llx_scx.h"
+#include "reclaim/record_manager.h"
 
 namespace llxscx {
 namespace {
@@ -35,7 +36,7 @@ StepCounts measure_scx_width() {
   const StepCounts before = Stats::my_snapshot();
   scx(v, 1, 0, &rec->mut(0), l.field(0), l.field(0) + 1);
   const StepCounts d = Stats::my_snapshot() - before;
-  retire_record(rec);
+  EbrManager::retire(rec);
   return d;
 }
 

@@ -17,6 +17,7 @@
 #include "bench/bench_common.h"
 #include "llxscx/llx_scx.h"
 #include "reclaim/epoch.h"
+#include "reclaim/record_manager.h"
 
 namespace llxscx {
 namespace {
@@ -37,7 +38,7 @@ StepCounts measure_scx(int k, int f) {
   const StepCounts before = Stats::my_snapshot();
   scx(v, k, mask, &cells[0]->mut(Cell::kValue), 1, 2);
   const StepCounts d = Stats::my_snapshot() - before;
-  for (auto* c : cells) retire_record(c);
+  for (auto* c : cells) EbrManager::retire(c);
   return d;
 }
 
@@ -52,7 +53,7 @@ StepCounts measure_vlx(int k) {
   const StepCounts before = Stats::my_snapshot();
   vlx(v, k);
   const StepCounts d = Stats::my_snapshot() - before;
-  for (auto* c : cells) retire_record(c);
+  for (auto* c : cells) EbrManager::retire(c);
   return d;
 }
 

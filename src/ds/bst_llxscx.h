@@ -76,7 +76,6 @@ class BasicLlxScxBst
 
  public:
   using Node = BstNode;
-  using Domain = typename Base::Domain;
   static constexpr const char* kName = "llxscx-bst";
   using Op = typename Base::Op;
   using Snapshot = typename Base::Snapshot;
@@ -86,8 +85,8 @@ class BasicLlxScxBst
   static constexpr std::uint64_t kInf1 = kInf2 - 1;
 
   BasicLlxScxBst()
-      : root_(kInf2, Domain::template make_record<Node>(kInf1, 0),
-              Domain::template make_record<Node>(kInf2, 0)) {}
+      : root_(kInf2, Reclaim::template alloc<Node>(kInf1, 0),
+              Reclaim::template alloc<Node>(kInf2, 0)) {}
   ~BasicLlxScxBst() { Base::destroy_all(); }
   BasicLlxScxBst(const BasicLlxScxBst&) = delete;
   BasicLlxScxBst& operator=(const BasicLlxScxBst&) = delete;

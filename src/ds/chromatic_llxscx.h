@@ -96,7 +96,6 @@ class BasicLlxScxChromatic
 
  public:
   using Node = ChromaticNode;
-  using Domain = typename Base::Domain;
   static constexpr const char* kName = "llxscx-chromatic";
   using Op = typename Base::Op;
   using Snapshot = typename Base::Snapshot;
@@ -107,10 +106,10 @@ class BasicLlxScxChromatic
 
   BasicLlxScxChromatic()
       : root_(kInf2, /*w=*/1,
-              Domain::template make_record<Node>(kInf1, std::uint64_t{0},
-                                                 std::uint32_t{1}),
-              Domain::template make_record<Node>(kInf2, std::uint64_t{0},
-                                                 std::uint32_t{1})) {}
+              Reclaim::template alloc<Node>(kInf1, std::uint64_t{0},
+                                            std::uint32_t{1}),
+              Reclaim::template alloc<Node>(kInf2, std::uint64_t{0},
+                                            std::uint32_t{1})) {}
   ~BasicLlxScxChromatic() { Base::destroy_all(); }
   BasicLlxScxChromatic(const BasicLlxScxChromatic&) = delete;
   BasicLlxScxChromatic& operator=(const BasicLlxScxChromatic&) = delete;
@@ -281,7 +280,7 @@ class BasicLlxScxChromatic
   // Failed LLX/SCX attempts (a concurrent update or a racing fixer got
   // there first) simply re-walk — lock-free like every other loop here.
   void cleanup(std::uint64_t key) {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       Node* ggp = nullptr;
       Node* gp = nullptr;

@@ -144,7 +144,6 @@ template <class Reclaim = EbrManager>
 class BasicLlxScxHashMap {
  public:
   using Node = HashMapNode;
-  using Domain = LlxScxDomain<Reclaim>;
   static constexpr const char* kName = "llxscx-hashmap";
 
   // Resize tuning (see the header comment). All are chain-length /
@@ -180,7 +179,7 @@ class BasicLlxScxHashMap {
           Node* next = (cur->kind == Node::kTail || cur->kind == Node::kDone)
                            ? nullptr
                            : next_of(cur);
-          Domain::reclaim_now(cur);
+          Reclaim::dealloc(cur);
           cur = next;
         }
       }
@@ -194,7 +193,7 @@ class BasicLlxScxHashMap {
 
   // Insert-or-assign; returns true iff the key was newly inserted.
   bool upsert(std::uint64_t key, std::uint64_t value) {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     Table* t = table_.load(mo::acquire);
     for (;;) {
       const Slot s = locate(t, key);
@@ -234,7 +233,7 @@ class BasicLlxScxHashMap {
 
   // Removes key if present; returns whether it was removed.
   bool erase(std::uint64_t key) {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     Table* t = table_.load(mo::acquire);
     for (;;) {
       const Slot s = locate(t, key);
@@ -265,7 +264,7 @@ class BasicLlxScxHashMap {
   }
 
   std::optional<std::uint64_t> get(std::uint64_t key) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (const Table* t = table_.load(mo::acquire);;
          t = t->next.load(mo::acquire)) {
       const Node* cur = chain_of(t, bucket_of(key, t->mask));
@@ -296,7 +295,7 @@ class BasicLlxScxHashMap {
   // covers the whole call; each lane's linearization point is per key,
   // exactly as in get() (a batch is not a snapshot).
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     constexpr std::size_t kLanes = 8;
     enum : unsigned char { kLaneHead, kLaneWalk, kLaneDone };
     const Table* t0 = table_.load(mo::acquire);
@@ -350,7 +349,7 @@ class BasicLlxScxHashMap {
   }
 
   std::size_t bucket_count() const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     return table_.load(mo::acquire)->heads.size();
   }
 
@@ -440,16 +439,16 @@ class BasicLlxScxHashMap {
     t->mask = b - 1;
     t->heads.reserve(b);
     for (std::size_t i = 0; i < b; ++i) {
-      t->heads.push_back(Domain::template make_record<Node>(
-          0, 0, Domain::template make_record<Node>(Node::TailTag{})));
+      t->heads.push_back(Reclaim::template alloc<Node>(
+          0, 0, Reclaim::template alloc<Node>(Node::TailTag{})));
     }
     return t;
   }
 
   void free_table_now(Table* t) const {
     for (Node* head : t->heads) {
-      Domain::reclaim_now(next_of(head));  // the tail — never published
-      Domain::reclaim_now(head);
+      Reclaim::dealloc(next_of(head));  // the tail — never published
+      Reclaim::dealloc(head);
     }
     delete t;
   }
@@ -631,7 +630,12 @@ class BasicLlxScxHashMap {
         }
       }
       if (finished) return;
-      // Finish: M.next ← fresh kDone marker. Exactly one commit wins.
+      // Finish: M.next ← fresh kDone marker. Exactly one commit wins. Link
+      // a snapshot of M taken after the copies: each committed copy froze
+      // M, so the first snapshot would fail the finish and send us over
+      // the copies again. Only the finish moves M.next, so the new
+      // snapshot still names fc unless the bucket finished under us.
+      if (!unfinished(m, lm)) return;
       ScxOp<Node, Reclaim> op;
       op.link(lm);
       auto d = op.freshly(Node::DoneTag{});
@@ -643,10 +647,10 @@ class BasicLlxScxHashMap {
         Node* n = fc;
         while (n->kind == Node::kItem) {
           Node* nx = next_of(n);
-          Domain::retire_record(n);
+          Reclaim::retire(n);
           n = nx;
         }
-        Domain::retire_record(n);  // the frozen chain's tail sentinel
+        Reclaim::retire(n);  // the frozen chain's tail sentinel
         // acq_rel: the count is the swap gate — the winner of the last
         // bucket must observe every other finish before retiring heads.
         if (t->migrated.fetch_add(1, mo::acq_rel) + 1 == t->heads.size()) {
@@ -729,11 +733,11 @@ class BasicLlxScxHashMap {
     for (Node* head : t->heads) {
       Node* m = next_of(head);  // the kMoved marker
       Node* d = next_of(m);     // the kDone marker
-      Domain::retire_record(head);
-      Domain::retire_record(m);
-      Domain::retire_record(d);
+      Reclaim::retire(head);
+      Reclaim::retire(m);
+      Reclaim::retire(d);
     }
-    Reclaim::template retire<Table>(t);
+    Reclaim::retire(t);
   }
 
   // --- whole-table walks (size / occupancy / items / scan_n) --------------
@@ -769,7 +773,7 @@ class BasicLlxScxHashMap {
                        const auto& stop) const {
     const std::size_t nbuckets = bucket_count();
     for (std::size_t b = 0; b < nbuckets && !stop(); ++b) {
-      typename Domain::Guard g;
+      Epoch::Guard g;
       const Table* t = table_.load(mo::acquire);
       if (b >= t->heads.size()) break;  // defensive; tables never shrink
       scan_bucket(t, b, chain_fn, node_fn);

@@ -70,13 +70,12 @@ template <class Reclaim = EbrManager>
 class BasicLlxScxMultiset {
  public:
   using Node = MultisetNode;
-  using Domain = LlxScxDomain<Reclaim>;
   static constexpr const char* kName = "llxscx-multiset";
 
   BasicLlxScxMultiset() {
     head_.mut(Node::kNext).store(
         reinterpret_cast<std::uint64_t>(
-            Domain::template make_record<Node>(Node::TailTag{})),
+            Reclaim::template alloc<Node>(Node::TailTag{})),
         std::memory_order_relaxed);
   }
   ~BasicLlxScxMultiset() {
@@ -85,7 +84,7 @@ class BasicLlxScxMultiset {
     Node* cur = next_of(&head_);
     while (cur != nullptr) {
       Node* next = cur->tail ? nullptr : next_of(cur);
-      Domain::reclaim_now(cur);
+      Reclaim::dealloc(cur);
       cur = next;
     }
   }
@@ -93,7 +92,7 @@ class BasicLlxScxMultiset {
   BasicLlxScxMultiset& operator=(const BasicLlxScxMultiset&) = delete;
 
   bool insert(std::uint64_t key, std::uint64_t count = 1) {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       Node* pred = locate(key);
       auto lp = llx(pred);
@@ -127,7 +126,7 @@ class BasicLlxScxMultiset {
 
   // Removes up to `count` copies of key; returns how many were removed.
   std::uint64_t erase(std::uint64_t key, std::uint64_t count) {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       Node* pred = locate(key);
       auto lp = llx(pred);
@@ -176,7 +175,7 @@ class BasicLlxScxMultiset {
   // walk, same caveat as the tree size() (a list has no stable spine to
   // re-enter a guard per segment).
   std::size_t size() const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     std::size_t total = 0;
     for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
       total += cur->count;
@@ -186,7 +185,7 @@ class BasicLlxScxMultiset {
 
   // Multiplicity of key, traversing with plain reads (Proposition 2).
   std::uint64_t get(std::uint64_t key) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     const Node* cur = next_of(&head_);
     while (!cur->tail && cur->key < key) cur = next_of(cur);
     return (!cur->tail && cur->key == key) ? cur->count : 0;
@@ -195,7 +194,7 @@ class BasicLlxScxMultiset {
   // The E5 strawman: the same search but LLX-ing every node on the path,
   // restarting whenever a node is frozen or finalized underfoot.
   std::uint64_t get_llx_traversal(std::uint64_t key) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       auto lh = llx(&head_);
       if (!lh.ok()) continue;
@@ -232,7 +231,7 @@ class BasicLlxScxMultiset {
   std::size_t range(
       std::uint64_t lo, std::uint64_t hi,
       std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     const std::size_t base = out.size();
     const Node* cur = next_of(&head_);
     while (!cur->tail && cur->key < lo) cur = next_of(cur);

@@ -85,7 +85,6 @@ class BasicLlxScxPatricia
 
  public:
   using Node = PatriciaNode;
-  using Domain = typename Base::Domain;
   static constexpr const char* kName = "llxscx-patricia";
   using Op = typename Base::Op;
   using Snapshot = typename Base::Snapshot;
@@ -95,7 +94,7 @@ class BasicLlxScxPatricia
 
   BasicLlxScxPatricia()
       : root_(/*pfx=*/0, /*bit=*/64,
-              Domain::template make_record<Node>(kSentinelKey, 0), nullptr) {}
+              Reclaim::template alloc<Node>(kSentinelKey, 0), nullptr) {}
   ~BasicLlxScxPatricia() { Base::destroy_all(); }
   BasicLlxScxPatricia(const BasicLlxScxPatricia&) = delete;
   BasicLlxScxPatricia& operator=(const BasicLlxScxPatricia&) = delete;

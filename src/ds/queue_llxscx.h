@@ -98,20 +98,19 @@ template <class Reclaim = EbrManager>
 class BasicLlxScxQueue {
  public:
   using Node = QueueNode;
-  using Domain = LlxScxDomain<Reclaim>;
   static constexpr const char* kName = "llxscx-queue";
 
   BasicLlxScxQueue() {
     head_.mut(Node::kNext).store(
         reinterpret_cast<std::uint64_t>(
-            Domain::template make_record<Node>(Node::TailTag{})),
+            Reclaim::template alloc<Node>(Node::TailTag{})),
         std::memory_order_relaxed);
   }
   ~BasicLlxScxQueue() {
     Node* cur = next_of(&head_);
     while (cur != nullptr) {
       Node* next = cur->tail ? nullptr : next_of(cur);
-      Domain::reclaim_now(cur);
+      Reclaim::dealloc(cur);
       cur = next;
     }
   }
@@ -119,7 +118,7 @@ class BasicLlxScxQueue {
   BasicLlxScxQueue& operator=(const BasicLlxScxQueue&) = delete;
 
   bool enqueue(std::uint64_t key, std::uint64_t value) {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       Stats::count_read();
       // acquire: a pointer value reads-from a publish CAS (release), which
@@ -169,7 +168,7 @@ class BasicLlxScxQueue {
   bool enqueue(std::uint64_t v) { return enqueue(v, v); }
 
   std::optional<std::pair<std::uint64_t, std::uint64_t>> dequeue() {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       auto lh = llx(&head_);
       if (!lh.ok()) continue;
@@ -207,7 +206,7 @@ class BasicLlxScxQueue {
   bool erase(std::uint64_t /*key*/) { return dequeue().has_value(); }
 
   bool contains(std::uint64_t key) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
       if (cur->key == key) return true;
     }
@@ -215,7 +214,7 @@ class BasicLlxScxQueue {
   }
 
   std::size_t size() const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     std::size_t n = 0;
     for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
       ++n;

@@ -56,20 +56,19 @@ template <class Reclaim = EbrManager>
 class BasicLlxScxStack {
  public:
   using Node = StackNode;
-  using Domain = LlxScxDomain<Reclaim>;
   static constexpr const char* kName = "llxscx-stack";
 
   BasicLlxScxStack() {
     head_.mut(Node::kNext).store(
         reinterpret_cast<std::uint64_t>(
-            Domain::template make_record<Node>(Node::BottomTag{})),
+            Reclaim::template alloc<Node>(Node::BottomTag{})),
         std::memory_order_relaxed);
   }
   ~BasicLlxScxStack() {
     Node* cur = next_of(&head_);
     while (cur != nullptr) {
       Node* next = cur->bottom ? nullptr : next_of(cur);
-      Domain::reclaim_now(cur);
+      Reclaim::dealloc(cur);
       cur = next;
     }
   }
@@ -77,7 +76,7 @@ class BasicLlxScxStack {
   BasicLlxScxStack& operator=(const BasicLlxScxStack&) = delete;
 
   bool push(std::uint64_t key, std::uint64_t value) {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       auto lh = llx(&head_);
       if (!lh.ok()) continue;
@@ -91,7 +90,7 @@ class BasicLlxScxStack {
   bool push(std::uint64_t v) { return push(v, v); }
 
   std::optional<std::pair<std::uint64_t, std::uint64_t>> pop() {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       auto lh = llx(&head_);
       if (!lh.ok()) continue;
@@ -126,7 +125,7 @@ class BasicLlxScxStack {
   bool erase(std::uint64_t /*key*/) { return pop().has_value(); }
 
   bool contains(std::uint64_t key) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (const Node* cur = next_of(&head_); !cur->bottom; cur = next_of(cur)) {
       if (cur->key == key) return true;
     }
@@ -134,7 +133,7 @@ class BasicLlxScxStack {
   }
 
   std::size_t size() const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     std::size_t n = 0;
     for (const Node* cur = next_of(&head_); !cur->bottom; cur = next_of(cur)) {
       ++n;

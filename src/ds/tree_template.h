@@ -83,12 +83,11 @@ template <class Derived, class NodeT, class Reclaim>
 class TreeTemplate {
  public:
   using Node = NodeT;
-  using Domain = LlxScxDomain<Reclaim>;
   using Op = ScxOp<NodeT, Reclaim>;
   using Snapshot = LlxResult<NodeT::kNumMut>;
 
   std::optional<std::uint64_t> get(std::uint64_t key) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     const Node* n = read_child(self().root_ptr(), self().root_dir(key));
     while (!Derived::is_leaf(n)) n = read_child(n, Derived::dir_of(n, key));
     if (Derived::key_of(n) == key) return Derived::value_of(n);
@@ -102,7 +101,7 @@ class TreeTemplate {
   // the walk, no CAS, no allocation; get() (plain reads, Proposition 2)
   // is the fast path, this is the belt-and-braces one.
   std::optional<std::uint64_t> get_validated(std::uint64_t key) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       const Node* p = self().root_ptr();
       std::size_t dir = self().root_dir(key);
@@ -142,7 +141,7 @@ class TreeTemplate {
   // exactly as if the gets were issued back to back (a batch is not a
   // snapshot).
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     constexpr std::size_t kLanes = 8;
     for (std::size_t base = 0; base < n; base += kLanes) {
       const std::size_t m = n - base < kLanes ? n - base : kLanes;
@@ -223,7 +222,7 @@ class TreeTemplate {
                     std::vector<std::pair<std::uint64_t, std::uint64_t>>& out)
       const {
     if (lo > hi) return 0;
-    typename Domain::Guard g;
+    Epoch::Guard g;
     const std::size_t base = out.size();
     ScanBuffers& sb = scan_buffers();
     std::vector<LinkedLlx>& w = sb.w;
@@ -275,7 +274,7 @@ class TreeTemplate {
                          std::uint64_t value) {
     static_assert(2 * Derived::kGroupCap + 1 <= Op::kMaxFresh,
                   "a full group's fresh subtree must fit one ScxOp");
-    typename Domain::Guard g;
+    Epoch::Guard g;
     std::size_t inserted = 0;
     std::uint64_t grp[Derived::kGroupCap] = {};
     std::size_t i = 0;
@@ -348,7 +347,7 @@ class TreeTemplate {
   // occupancy()), so treat size() as an occasional probe — a walk over
   // millions of nodes pins this domain's epoch for its duration.
   std::size_t size() const {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     std::size_t count = 0;
     std::vector<const Node*> stack;
     const Node* r = self().root_ptr();
@@ -377,7 +376,7 @@ class TreeTemplate {
 
   // Removes key if present; returns whether it was removed.
   bool erase(std::uint64_t key) {
-    typename Domain::Guard g;
+    Epoch::Guard g;
     for (;;) {
       // Walk to the leaf tracking grandparent and parent.
       Node* gp = nullptr;
@@ -534,7 +533,7 @@ class TreeTemplate {
         stack.push_back(plain_child(n, 0));
         stack.push_back(plain_child(n, 1));
       }
-      Domain::reclaim_now(n);
+      Reclaim::dealloc(n);
     }
   }
 

@@ -41,7 +41,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "reclaim/record_manager.h"
 #include "util/memorder.h"
 #include "util/stats.h"
 
@@ -488,8 +487,11 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
 //     pointers to nodes allocated within the current operation — see the
 //     fresh-node discipline in ds/ and DESIGN.md §6/§8.
 //   - Records in R stay permanently frozen; only the committing thread
-//     may retire them (plus nodes made unreachable by the commit), via
-//     retire_record, after scx returns true.
+//     may retire them (plus nodes made unreachable by the commit), through
+//     its structure's Reclaim::retire, after scx returns true. Exactly
+//     once is the structure's obligation: its SCX shapes must guarantee
+//     no two committed operations remove the same node (every conflicting
+//     pair shares a V-record that the first commit freezes or finalizes).
 inline bool scx(const LinkedLlx* v, std::size_t k, std::uint64_t finalize_mask,
                 std::atomic<std::uint64_t>* fld, std::uint64_t old_val,
                 std::uint64_t new_val) {
@@ -543,62 +545,5 @@ inline bool vlx(const LinkedLlx* v, std::size_t k) {
   }
   return true;
 }
-
-// Retire a removed Data-record through epoch reclamation (the EbrManager
-// path; policy-parameterized callers go through LlxScxDomain/ScxOp).
-// Call exactly once, from the thread whose committed SCX removed it —
-// either a record in that SCX's R-set, or one made unreachable by the
-// commit (the trees' removed leaf). Exactly-once is the structure's
-// obligation: the SCX shapes must guarantee no two committed operations
-// remove the same node (every conflicting pair shares a V-record that the
-// first commit freezes or finalizes).
-template <typename T>
-void retire_record(T* r) {
-  Epoch::retire(r);
-}
-
-// LlxScxDomain<Reclaim> — the primitives bound to one reclamation policy
-// (the tentpole seam: structures and the ScxOp builder go through this,
-// so swapping EbrManager/LeakyManager/PoolManager touches no structure
-// code). The llx/scx/vlx algorithms are policy-independent; what the
-// domain routes is every Data-record allocation and retirement, via
-// make_record/retire_record/reclaim_now.
-template <class Reclaim = EbrManager>
-struct LlxScxDomain {
-  static_assert(RecordManager<Reclaim>);
-  using ReclaimPolicy = Reclaim;
-  using Guard = typename Reclaim::Guard;
-
-  template <class Node, class... Args>
-  static Node* make_record(Args&&... args) {
-    return Reclaim::template alloc<Node>(std::forward<Args>(args)...);
-  }
-  // Grace-period retirement of a node a committed SCX removed (same
-  // exactly-once obligation as the free function above).
-  template <class Node>
-  static void retire_record(Node* r) {
-    Reclaim::template retire<Node>(r);
-  }
-  // Immediate reclamation of a node that was never published (aborted
-  // fresh allocations, quiescent teardown).
-  template <class Node>
-  static void reclaim_now(Node* r) {
-    Reclaim::template dealloc<Node>(r);
-  }
-
-  template <std::size_t NumMut>
-  static LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
-    return llxscx::llx(r);
-  }
-  static bool scx(const LinkedLlx* v, std::size_t k,
-                  std::uint64_t finalize_mask,
-                  std::atomic<std::uint64_t>* fld, std::uint64_t old_val,
-                  std::uint64_t new_val) {
-    return llxscx::scx(v, k, finalize_mask, fld, old_val, new_val);
-  }
-  static bool vlx(const LinkedLlx* v, std::size_t k) {
-    return llxscx::vlx(v, k);
-  }
-};
 
 }  // namespace llxscx

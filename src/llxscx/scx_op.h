@@ -52,6 +52,7 @@
 #include <utility>
 
 #include "llxscx/llx_scx.h"
+#include "reclaim/record_manager.h"
 
 namespace llxscx {
 
@@ -79,8 +80,8 @@ inline constexpr const char kScxOpBadField[] =
     "ScxOp: field index out of the record's mutable range";
 
 // Installable hook for the diagnostics above (tests). nullptr = default:
-// print, and assert in debug builds; either way the op is poisoned and
-// commit() fails without touching shared memory.
+// print and abort, in every build mode. With a handler installed the op
+// is poisoned and commit() fails without touching shared memory.
 using ScxOpMisuseHandler = void (*)(const char* diagnostic);
 inline ScxOpMisuseHandler& scx_op_misuse_handler() {
   static ScxOpMisuseHandler h = nullptr;
@@ -102,7 +103,7 @@ class Fresh {
   explicit Fresh(NodeT* p) : p_(p) {}
   NodeT* p_;
 
-  template <typename, class>
+  template <typename, RecordManager>
   friend class ScxOp;
 };
 
@@ -113,10 +114,9 @@ class Fresh {
 // what commit-time retirement does — EbrManager is the default, the
 // LeakyManager instantiation is E8's no-free ablation (what used to be a
 // hand-copied Leaky multiset), PoolManager recycles per-thread.
-template <typename NodeT, class Reclaim = EbrManager>
+template <typename NodeT, RecordManager Reclaim = EbrManager>
 class ScxOp {
  public:
-  using Domain = LlxScxDomain<Reclaim>;
   static constexpr std::size_t kMut = NodeT::kNumMut;
   // 40 fresh slots: the per-op tree shapes need ≤ 6, but a leaf-group bulk
   // build (tree_template.h insert_all, DESIGN.md §15) installs a subtree of
@@ -157,7 +157,7 @@ class ScxOp {
   // mutate it, then keeps the frozen chain readable (plain reads) until
   // its keys have been copied to the next table; only the thread whose
   // finish-SCX commits may retire the chain, through the same Reclaim
-  // policy (Domain::retire_record). remove() would retire at seal time —
+  // policy (Reclaim::retire). remove() would retire at seal time —
   // a use-after-free for every reader still walking the sealed bucket
   // after the grace period.
   NodeT* seal(const LlxResult<kMut>& l) {
@@ -177,7 +177,7 @@ class ScxOp {
       misuse(kScxOpTooManyFresh);
       return Fresh<NodeT>(nullptr);
     }
-    NodeT* n = Domain::template make_record<NodeT>(std::forward<Args>(args)...);
+    NodeT* n = Reclaim::template alloc<NodeT>(std::forward<Args>(args)...);
     fresh_[nfresh_++] = n;
     return Fresh<NodeT>(n);
   }
@@ -233,15 +233,15 @@ class ScxOp {
       delete_fresh();
       return false;
     }
-    const bool ok = Domain::scx(v_, k_, fmask_, fld_, old_, new_);
+    const bool ok = scx(v_, k_, fmask_, fld_, old_, new_);
     if (!ok) {
       delete_fresh();
       return false;
     }
     for (std::size_t i = 0; i < k_; ++i) {
-      if (retire_mask_ & (std::uint64_t{1} << i)) Domain::retire_record(recs_[i]);
+      if (retire_mask_ & (std::uint64_t{1} << i)) Reclaim::retire(recs_[i]);
     }
-    for (std::size_t i = 0; i < norphan_; ++i) Domain::retire_record(orphans_[i]);
+    for (std::size_t i = 0; i < norphan_; ++i) Reclaim::retire(orphans_[i]);
     return true;
   }
 
@@ -292,9 +292,9 @@ class ScxOp {
   void delete_fresh() {
     // Reverse order: later fresh nodes may point at earlier ones, but
     // nodes own nothing, so either order is safe; reverse mirrors
-    // construction for readability. reclaim_now: these were never
-    // published, so the policy owes them no grace period.
-    while (nfresh_ > 0) Domain::reclaim_now(fresh_[--nfresh_]);
+    // construction for readability. dealloc: these were never published,
+    // so the policy owes them no grace period.
+    while (nfresh_ > 0) Reclaim::dealloc(fresh_[--nfresh_]);
   }
 
   void misuse(const char* what) {

@@ -6,7 +6,10 @@
 // references into a structure; removed Data-records go onto per-thread
 // limbo lists stamped with the epoch at retirement, and a node is freed
 // once every pinned thread holds a reservation strictly newer than that
-// stamp.
+// stamp. Every policy that frees (EBR deletes, the pool banks) retires
+// through that one path, so a retired node is on a limbo list from the
+// moment retire returns: outstanding() counts it and a drain frees it,
+// whether the retiring thread is live or gone.
 //
 // Guards are reentrant (the multiset takes one per operation, and benches
 // often hold an outer one around a batch); only the outermost guard
@@ -44,7 +47,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -175,6 +177,8 @@ class Epoch {
     retire_raw(p, [](void* q) { delete static_cast<T*>(q); });
   }
 
+  // retire() with the deleter spelled out (PoolManager's banks the storage
+  // instead of freeing it). Same preconditions as retire().
   static void retire_raw(void* p, void (*del)(void*)) {
     Handle& h = handle();
     State& s = *h.st;
@@ -188,29 +192,6 @@ class Epoch {
       h.retires_since_scan = 0;
       s.global.fetch_add(1, std::memory_order_seq_cst);
       scan_one(s, h.rec);
-    }
-  }
-
-  // Buffered retirement: like retire_raw, but the node parks in a small
-  // per-(thread, domain) pending buffer and is published to the limbo list
-  // in chunks of kRetireChunk. One epoch read, one lock acquisition, and
-  // one outstanding-counter update amortize over the whole chunk — this is
-  // the "batch grace-expiry" path PoolManager rides (DESIGN.md §14).
-  //
-  // Safety: pending nodes are stamped with the epoch AT FLUSH, which is >=
-  // the epoch at retirement — strictly more conservative than retire_raw
-  // (a later stamp only delays the free). The buffer lives in the Handle,
-  // so nodes retired under a DomainScope flush into THAT domain even if
-  // the thread has since switched scopes; the Handle destructor and
-  // drain_state both flush, so nothing is stranded at thread exit or
-  // teardown. Same preconditions as retire_raw otherwise.
-  static constexpr std::size_t kRetireChunk = 32;
-  static void retire_buffered(void* p, void (*del)(void*)) {
-    Handle& h = handle();
-    h.pending.push_back({p, del});
-    if (h.pending.size() >= kRetireChunk) {
-      publish_pending(h);
-      maybe_scan(h);
     }
   }
 
@@ -236,11 +217,6 @@ class Epoch {
     void* p;
     void (*del)(void*);
     std::uint64_t epoch;
-  };
-
-  struct Pending {
-    void* p;
-    void (*del)(void*);
   };
 
   struct alignas(64) ThreadRec {
@@ -278,7 +254,6 @@ class Epoch {
     ThreadRec* rec = nullptr;
     int depth = 0;
     int retires_since_scan = 0;
-    std::vector<Pending> pending;  // retire_buffered parking; flushed in chunks
 
     explicit Handle(State* s) : st(s) {
       std::lock_guard<std::mutex> lock(st->registry_mu);
@@ -291,9 +266,6 @@ class Epoch {
       }
     }
     ~Handle() {
-      // Publish (but do not scan: deleters must not run during thread
-      // teardown — another thread's scan or a drain frees these later).
-      publish_pending(*this);
       rec->reservation.store(kIdle, std::memory_order_seq_cst);
       std::lock_guard<std::mutex> lock(st->registry_mu);
       st->free_recs.push_back(rec);
@@ -364,32 +336,6 @@ class Epoch {
     return *hs.last;
   }
 
-  // Move a handle's pending retirees to its limbo list: ONE epoch read
-  // stamps the whole chunk, one lock push moves it, one fetch_add counts
-  // it. Scan cadence is credited here (not per retire) so buffered and
-  // unbuffered retirement trigger scans at the same average rate.
-  static void publish_pending(Handle& h) {
-    if (h.pending.empty()) return;
-    State& s = *h.st;
-    const std::uint64_t e = s.global.load(std::memory_order_seq_cst);
-    const std::size_t n = h.pending.size();
-    {
-      SpinLock lock(h.rec->mu);
-      for (const Pending& r : h.pending) h.rec->limbo.push_back({r.p, r.del, e});
-    }
-    h.pending.clear();
-    s.outstanding.fetch_add(n, std::memory_order_relaxed);
-    h.retires_since_scan += static_cast<int>(n);
-  }
-
-  static void maybe_scan(Handle& h) {
-    if (h.retires_since_scan >= kScanPeriod) {
-      h.retires_since_scan = 0;
-      h.st->global.fetch_add(1, std::memory_order_seq_cst);
-      scan_one(*h.st, h.rec);
-    }
-  }
-
   static std::vector<ThreadRec*> all_recs(State& s) {
     std::lock_guard<std::mutex> lock(s.registry_mu);
     return s.recs;
@@ -405,15 +351,6 @@ class Epoch {
   }
 
   static void drain_state(State& s) {
-    // The calling thread's buffered retirees for this domain must join the
-    // limbo lists or the drain-to-zero contract breaks for retire_buffered
-    // users (other threads' buffers flush at their Handle destructors).
-    // handle() resolves the CURRENT domain, so scope `s` for the lookup.
-    State*& cur = tls_state();
-    State* prev = cur;
-    cur = &s;
-    publish_pending(handle());
-    cur = prev;
     s.global.fetch_add(1, std::memory_order_seq_cst);
     for (ThreadRec* rec : all_recs(s)) scan_one(s, rec);
   }

@@ -10,17 +10,6 @@
 //
 // A RecordManager provides:
 //
-//   M::Guard            RAII read reservation. Every manager here uses
-//                       Epoch::Guard — even the leaky one, whose guard
-//                       protects nothing, so the policies differ only in
-//                       what retire() does. A guard pins the epoch for
-//                       EVERY thread's limbo, so long-running walks (a
-//                       whole-table size() or occupancy scan) must
-//                       re-enter a fresh Guard per segment rather than
-//                       hold one across the walk —
-//                       otherwise one reader stalls all reclamation
-//                       (pinned by test_record_manager's
-//                       walk-does-not-block-drain case).
 //   M::alloc<T>(args…)  construct a T (policy decides where the bytes
 //                       come from).
 //   M::retire(T*)       hand over a node the caller just made unreachable
@@ -35,20 +24,24 @@
 //   M::stats()          this thread's ReclaimStats (plain thread-local
 //                       counters — no shared steps, so policy accounting
 //                       never perturbs the pinned SCX step shapes).
-//   M::domain_stats()   the CURRENT epoch domain's limbo accounting
-//                       (DomainReclaimStats below). Unlike stats() these
-//                       are shared, per-domain counters: under an
-//                       Epoch::DomainScope they describe that domain
-//                       alone, which is what lets the sharded front-end
-//                       (DESIGN.md §12) report per-shard reclamation and
-//                       the tests assert shard independence.
+//
+// There is no policy guard: every structure takes an Epoch::Guard, and
+// the policies differ only in what retire() does — even the leaky one's
+// readers pin the epoch, so the E8 and layer-ladder comparisons price the
+// frees alone. A guard pins the epoch for EVERY thread's limbo, so
+// long-running walks (a whole-table size() or occupancy scan) must
+// re-enter a fresh guard per segment rather than hold one across the
+// walk — otherwise one reader stalls all reclamation (pinned by
+// test_record_manager's walk-does-not-block-drain case). Limbo accounting
+// lives in the epoch domain too (Epoch::outstanding(), Epoch::Domain): it
+// counts every node the ebr and pool policies retired and not yet freed.
 //
 // The contract a policy must honor for the LLX/SCX proofs to survive is
 // written out in DESIGN.md §10; the short form: an address handed to
 // retire() must not be handed out by alloc() again while any thread that
-// could still reach the old node holds a Guard taken before the retire.
-// EbrManager and PoolManager get this from the epoch grace period;
-// LeakyManager gets it vacuously (retired addresses never recur at all).
+// could still reach the old node holds an Epoch::Guard taken before the
+// retire. EbrManager and PoolManager get this from the epoch grace
+// period; LeakyManager gets it vacuously (retired addresses never recur).
 #pragma once
 
 #include <concepts>
@@ -90,34 +83,26 @@ struct ReclaimStats {
   }
 };
 
-// Snapshot of one epoch domain's reclamation accounting (the domain
-// current on the calling thread). `outstanding` counts retired-not-yet-
-// freed records across every thread registered in the domain; `freed` is
-// the domain's lifetime free count. Relaxed reads — exact only when the
+// One epoch domain's reclamation accounting, as ShardedMap::for_each_shard
+// reports it per shard. `outstanding` counts retired-not-yet-freed
+// records across every thread registered in the domain; `freed` is the
+// domain's lifetime free count. Relaxed reads — exact only when the
 // domain is quiescent, same contract as container size().
 struct DomainReclaimStats {
   std::uint64_t outstanding = 0;
   std::uint64_t freed = 0;
-  // Blocks currently banked in the CALLING thread's size-classed free
-  // lists (PoolManager only; 0 for managers without pools). Thread-local
-  // by construction — per-thread lists are the whole point — but surfaced
-  // here so for_each_shard / bench teardown can report pool depth next to
-  // the domain's limbo accounting.
-  std::uint64_t pooled = 0;
 };
 
 // The compile-time face of the contract. alloc/retire/dealloc are member
 // templates, so the concept probes them with a concrete stand-in type.
 template <class M>
 concept RecordManager = requires(int* p) {
-  typename M::Guard;
   { M::kName } -> std::convertible_to<const char*>;
   { M::template alloc<int>(0) } -> std::same_as<int*>;
   { M::template retire<int>(p) };
   { M::template dealloc<int>(p) };
   { M::drain() };
   { M::stats() } -> std::same_as<ReclaimStats&>;
-  { M::domain_stats() } -> std::same_as<DomainReclaimStats>;
 };
 
 // --- EbrManager: the default — plain new/delete under epoch grace -------
@@ -126,7 +111,6 @@ concept RecordManager = requires(int* p) {
 // the delete until every guard that could reach the node has dropped.
 struct EbrManager {
   static constexpr const char* kName = "ebr";
-  using Guard = Epoch::Guard;
 
   template <class T, class... Args>
   static T* alloc(Args&&... args) {
@@ -148,10 +132,6 @@ struct EbrManager {
 
   static void drain() { Epoch::drain_all_for_testing(); }
 
-  static DomainReclaimStats domain_stats() {
-    return {Epoch::outstanding(), Epoch::total_freed()};
-  }
-
   static ReclaimStats& stats() {
     thread_local ReclaimStats s;
     return s;
@@ -163,12 +143,9 @@ struct EbrManager {
 // retire() drops the node on the floor, so a long-running process grows
 // without bound — the point of the ablation is to measure what that buys.
 // The §3 usage assumption (a retired address never re-enters a mutable
-// field) holds trivially: leaked addresses are never recycled. Its guard
-// is still an epoch guard, so the E8 and layer-ladder comparisons price
-// the frees alone.
+// field) holds trivially: leaked addresses are never recycled.
 struct LeakyManager {
   static constexpr const char* kName = "leaky";
-  using Guard = Epoch::Guard;
 
   template <class T, class... Args>
   static T* alloc(Args&&... args) {
@@ -190,10 +167,6 @@ struct LeakyManager {
   }
 
   static void drain() { Epoch::drain_all_for_testing(); }
-
-  static DomainReclaimStats domain_stats() {
-    return {Epoch::outstanding(), Epoch::total_freed()};
-  }
 
   static ReclaimStats& stats() {
     thread_local ReclaimStats s;
@@ -218,18 +191,12 @@ struct LeakyManager {
 // per-type lists. Larger types fall back to plain new/delete (still
 // grace-deferred).
 //
-// Retirement rides Epoch::retire_buffered: expired retirees move to the
-// free lists in chunks with ONE epoch check per chunk, amortizing the
-// seq_cst epoch load, the limbo lock, and the outstanding counter across
-// kRetireChunk nodes.
-//
 // The reuse is exactly as safe as delete-then-malloc reuse: a block only
 // reaches the pool after the same grace period that would have preceded
 // its free, so an address can re-enter a mutable field no earlier than it
 // could under EbrManager.
 struct PoolManager {
   static constexpr const char* kName = "pool";
-  using Guard = Epoch::Guard;
 
   // 16-byte-granularity classes 0..15 cover 16..256 bytes. Returns
   // kNoSizeClass above that.
@@ -273,7 +240,7 @@ struct PoolManager {
     // Grace first, pool after: the deleter runs on the SCANNING thread
     // once no pre-retire guard survives, destroys the node, and banks the
     // storage in that thread's class list (per-thread lists, so no lock).
-    Epoch::retire_buffered(p, [](void* q) {
+    Epoch::retire_raw(p, [](void* q) {
       T* t = static_cast<T*>(q);
       t->~T();
       bank<T>(q);
@@ -289,12 +256,6 @@ struct PoolManager {
   }
 
   static void drain() { Epoch::drain_all_for_testing(); }
-
-  static DomainReclaimStats domain_stats() {
-    std::uint64_t pooled = 0;
-    for (const std::vector<void*>& fl : free_lists().cls) pooled += fl.size();
-    return {Epoch::outstanding(), Epoch::total_freed(), pooled};
-  }
 
   static ReclaimStats& stats() {
     thread_local ReclaimStats s;

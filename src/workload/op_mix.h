@@ -79,10 +79,11 @@ inline constexpr OpMix kGrowMix{"grow", 10, 90, 0};
 inline constexpr OpMix kChurnMix{"churn", 10, 45, 45};
 
 // "ycsb-a" | "ycsb-b" | "ycsb-c" | "ycsb-e" | "R:I:E" | "R:I:E:S" (the
-// integers summing to 100). Returns nullopt on anything else. The parsed
-// custom mix keeps the input shape as its name via the caller-provided
-// scratch buffer (name_buf must outlive the mix; pass a caller-owned
-// buffer).
+// integers, each at most 100, summing to 100). Returns nullopt on anything
+// else; %u also reads "-1" as UINT_MAX, so a field above 100 is rejected
+// before its sum can wrap around to 100. The parsed custom mix keeps the
+// input shape as its name via the caller-provided scratch buffer (name_buf
+// must outlive the mix; pass a caller-owned buffer).
 inline std::optional<OpMix> parse_op_mix(const char* s, char* name_buf,
                                          std::size_t name_buf_len) {
   if (std::strcmp(s, "ycsb-a") == 0) return kYcsbA;
@@ -93,13 +94,16 @@ inline std::optional<OpMix> parse_op_mix(const char* s, char* name_buf,
   int consumed = 0;
   if (std::sscanf(s, "%u:%u:%u:%u%n", &r, &i, &e, &sc, &consumed) == 4 &&
       s[consumed] == '\0') {
-    if (r + i + e + sc != 100) return std::nullopt;
+    if (r > 100 || i > 100 || e > 100 || sc > 100 || r + i + e + sc != 100) {
+      return std::nullopt;
+    }
     std::snprintf(name_buf, name_buf_len, "%u:%u:%u:%u", r, i, e, sc);
     return OpMix{name_buf, r, i, e, sc};
   }
   consumed = 0;
   if (std::sscanf(s, "%u:%u:%u%n", &r, &i, &e, &consumed) != 3 ||
-      s[consumed] != '\0' || r + i + e != 100) {
+      s[consumed] != '\0' || r > 100 || i > 100 || e > 100 ||
+      r + i + e != 100) {
     return std::nullopt;
   }
   std::snprintf(name_buf, name_buf_len, "%u:%u:%u", r, i, e);

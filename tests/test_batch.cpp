@@ -1,7 +1,6 @@
 // Batched-operation conformance (DESIGN.md §14): container_multi_get /
 // container_apply_batch over EVERY engine — the seven structures and their
-// ShardedMap wrappers — plus the size-classed PoolManager and the
-// chunked buffered-retire path they ride.
+// ShardedMap wrappers — plus the size-classed PoolManager.
 //
 // What is pinned here:
 //   - multi_get answers exactly like per-key contains (quiescently, and
@@ -12,9 +11,7 @@
 //   - the hashmap's interleaved lanes survive a live bucket migration
 //     (the kMoved/kDone routing is per lane);
 //   - PoolManager's free lists are size-classed: reuse is by address
-//     equality WITHIN a class and never across classes;
-//   - Epoch::retire_buffered parks retirees per (thread, domain) and a
-//     drain still reaches zero (nothing stranded in pending buffers).
+//     equality WITHIN a class and never across classes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -407,59 +404,7 @@ TEST(PoolManagerSizeClasses, ReuseByAddressEqualityPerClass) {
   PoolManager::dealloc(c);
   EXPECT_EQ(PoolManager::free_blocks(1), 1u);
   EXPECT_EQ(PoolManager::free_blocks(2), 1u);
-  EXPECT_GE(PoolManager::domain_stats().pooled, 2u)
-      << "pool depth surfaces through domain_stats";
   PoolManager::purge_thread_cache();
-  EXPECT_EQ(PoolManager::domain_stats().pooled, 0u);
-}
-
-struct ChunkProbe {
-  static std::atomic<int> destroyed;
-  ~ChunkProbe() { destroyed.fetch_add(1); }
-  int x = 0;
-};
-std::atomic<int> ChunkProbe::destroyed{0};
-
-TEST(BufferedRetire, ParksBelowChunkAndDrainsToZero) {
-  PoolManager::drain();  // flush any pending from earlier tests
-  const int d0 = ChunkProbe::destroyed.load();
-  const std::uint64_t out0 = Epoch::outstanding();
-  ASSERT_EQ(out0, 0u);
-  // Fewer than one chunk: retirees park in the thread's pending buffer —
-  // not yet published to limbo (that is the amortization), and certainly
-  // not destroyed.
-  for (int i = 0; i < 5; ++i) {
-    PoolManager::retire(PoolManager::alloc<ChunkProbe>());
-  }
-  EXPECT_EQ(Epoch::outstanding(), 0u) << "sub-chunk retires stay buffered";
-  EXPECT_EQ(ChunkProbe::destroyed.load(), d0);
-  // Drain publishes this thread's pending and then frees: nothing may be
-  // stranded in the buffer.
-  PoolManager::drain();
-  EXPECT_EQ(ChunkProbe::destroyed.load(), d0 + 5);
-  EXPECT_EQ(Epoch::outstanding(), 0u) << "drain-to-zero through the buffer";
-}
-
-TEST(BufferedRetire, PublishesInChunksOfKRetireChunk) {
-  PoolManager::drain();
-  ASSERT_EQ(Epoch::outstanding(), 0u);
-  const int d0 = ChunkProbe::destroyed.load();
-  // One chunk plus a remainder: exactly one chunk leaves the buffer (one
-  // epoch check, one limbo push — and possibly one scan, if the publish
-  // crossed the kScanPeriod cadence, in which case the chunk is already
-  // freed). The remainder must still be parked: neither in limbo nor
-  // destroyed.
-  const std::size_t n = Epoch::kRetireChunk + 8;
-  for (std::size_t i = 0; i < n; ++i) {
-    PoolManager::retire(PoolManager::alloc<ChunkProbe>());
-  }
-  const std::uint64_t limbo = Epoch::outstanding();
-  const auto freed = static_cast<std::uint64_t>(ChunkProbe::destroyed.load() - d0);
-  EXPECT_EQ(limbo + freed, Epoch::kRetireChunk)
-      << "exactly one chunk published, remainder parked";
-  PoolManager::drain();
-  EXPECT_EQ(Epoch::outstanding(), 0u);
-  EXPECT_EQ(ChunkProbe::destroyed.load() - d0, static_cast<int>(n));
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "ds/container_api.h"
 #include "ds/hashmap_llxscx.h"
 #include "util/barrier.h"
 #include "util/random.h"
@@ -192,7 +193,14 @@ TEST(HashMapResize, DescendingInsertionOrderStillTriggersGrowth) {
   constexpr std::uint64_t kKeys = 20'000;
   {
     LlxScxHashMap m(1);
-    for (std::uint64_t k = kKeys; k >= 1; --k) ASSERT_TRUE(m.upsert(k, k + 7));
+    const StepCounts steps = steps_of([&] {
+      for (std::uint64_t k = kKeys; k >= 1; --k) ASSERT_TRUE(m.upsert(k, k + 7));
+    });
+    // Alone, no SCX may fail: each finish links a snapshot of M taken after
+    // its bucket's copies, which froze M (DESIGN.md §9).
+    if constexpr (kStepCounting) {
+      EXPECT_EQ(steps.scx_fail, 0u);
+    }
     settle(m);
     EXPECT_GT(m.bucket_count(), 1u)
         << "front-of-chain inserts never fired the growth trigger";

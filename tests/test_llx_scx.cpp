@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "llxscx/llx_scx.h"
+#include "reclaim/record_manager.h"
 #include "util/barrier.h"
 #include "util/stats.h"
 
@@ -67,7 +68,7 @@ TEST(LlxScx, LlxAfterFinalizeReturnsFinalized) {
   EXPECT_FALSE(l2.ok());
   EXPECT_TRUE(l2.is_finalized());
   EXPECT_FALSE(l2.failed());
-  retire_record(r);
+  EbrManager::retire(r);
 }
 
 TEST(LlxScx, ScxWithStaleLlxSnapshotFails) {
@@ -140,7 +141,7 @@ TEST(LlxScx, UncontendedScxStepCountsMatchClaimCA) {
   const StepCounts d = Stats::my_snapshot() - before;
   EXPECT_EQ(d.cas, static_cast<std::uint64_t>(k + 1));
   EXPECT_EQ(d.shared_writes, static_cast<std::uint64_t>(f + 2));
-  for (auto* r : recs) retire_record(r);
+  for (auto* r : recs) EbrManager::retire(r);
 }
 
 // Two threads hammering increments on the same record through LLX/SCX:

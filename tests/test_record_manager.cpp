@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <latch>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -71,29 +73,52 @@ TYPED_TEST(RecordManagerConformance, AllocConstructsDeallocDestroysNow) {
   EXPECT_EQ(d.deallocs, 1u);
 }
 
+// Two inputs: the retires run on this thread, or on a worker that stays
+// alive (blocked on a latch) through both drains — a live thread's
+// retirees must be as visible to drain() and outstanding() as this
+// thread's own.
 TYPED_TEST(RecordManagerConformance, RetireDestroysExactlyOnceAfterDrain) {
   constexpr int kN = 100;
-  TypeParam::drain();
-  const int live0 = Payload::live.load();
-  const int destroyed0 = Payload::destroyed.load();
-  for (int i = 0; i < kN; ++i) {
-    Payload* p = TypeParam::template alloc<Payload>(i);
-    if constexpr (std::is_same_v<TypeParam, LeakyManager>) {
-      leak_park().push_back(p);
+  for (const bool on_worker : {false, true}) {
+    SCOPED_TRACE(on_worker ? "retired on a live worker" : "retired here");
+    TypeParam::drain();
+    const int live0 = Payload::live.load();
+    const int destroyed0 = Payload::destroyed.load();
+    const auto retire_all = [] {
+      for (int i = 0; i < kN; ++i) {
+        Payload* p = TypeParam::template alloc<Payload>(i);
+        if constexpr (std::is_same_v<TypeParam, LeakyManager>) {
+          leak_park().push_back(p);
+        }
+        TypeParam::template retire<Payload>(p);
+      }
+    };
+    std::latch retired(1), release(1);
+    std::thread worker;
+    if (on_worker) {
+      worker = std::thread([&] {
+        retire_all();
+        retired.count_down();
+        release.wait();
+      });
+      retired.wait();
+    } else {
+      retire_all();
     }
-    TypeParam::template retire<Payload>(p);
-  }
-  TypeParam::drain();
-  TypeParam::drain();  // a second drain must not double-destroy
-  if constexpr (std::is_same_v<TypeParam, LeakyManager>) {
-    EXPECT_EQ(Payload::destroyed.load(), destroyed0)
-        << "the leaky policy never runs destructors on retired nodes";
-    EXPECT_EQ(Payload::live.load(), live0 + kN);
-  } else {
-    EXPECT_EQ(Payload::destroyed.load(), destroyed0 + kN)
-        << "every retired node destroyed exactly once";
-    EXPECT_EQ(Payload::live.load(), live0);
-    EXPECT_EQ(Epoch::outstanding(), 0u) << "drain-to-zero";
+    TypeParam::drain();
+    TypeParam::drain();  // a second drain must not double-destroy
+    if constexpr (std::is_same_v<TypeParam, LeakyManager>) {
+      EXPECT_EQ(Payload::destroyed.load(), destroyed0)
+          << "the leaky policy never runs destructors on retired nodes";
+      EXPECT_EQ(Payload::live.load(), live0 + kN);
+    } else {
+      EXPECT_EQ(Payload::destroyed.load(), destroyed0 + kN)
+          << "every retired node destroyed exactly once";
+      EXPECT_EQ(Payload::live.load(), live0);
+      EXPECT_EQ(Epoch::outstanding(), 0u) << "drain-to-zero";
+    }
+    release.count_down();
+    if (worker.joinable()) worker.join();
   }
 }
 
@@ -104,7 +129,7 @@ TYPED_TEST(RecordManagerConformance, NoDestructionUnderLiveGuard) {
   TypeParam::drain();
   const int live0 = Payload::live.load();
   {
-    typename TypeParam::Guard g;
+    Epoch::Guard g;
     Payload* p = TypeParam::template alloc<Payload>(1);
     if constexpr (std::is_same_v<TypeParam, LeakyManager>) {
       leak_park().push_back(p);

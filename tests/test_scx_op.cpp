@@ -132,7 +132,7 @@ TEST(ScxOpMisuse, StaleSnapshotDiagnosed) {
   EXPECT_FALSE(op.commit());
   ASSERT_EQ(MisuseRecorder::log().size(), 1u);
   EXPECT_EQ(MisuseRecorder::log()[0], kScxOpStaleSnapshot);
-  retire_record(r);
+  EbrManager::retire(r);
   Epoch::drain_all_for_testing();
 }
 

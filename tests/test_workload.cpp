@@ -178,6 +178,8 @@ TEST(OpMix, ParserAcceptsNamesAndCustomTriples) {
   EXPECT_FALSE(parse_op_mix("ycsb-z", buf, sizeof(buf)));
   EXPECT_FALSE(parse_op_mix("60:30:10x", buf, sizeof(buf)));  // trailing junk
   EXPECT_FALSE(parse_op_mix("", buf, sizeof(buf)));
+  EXPECT_FALSE(parse_op_mix("-1:1:100", buf, sizeof(buf)));  // wraps to 100
+  EXPECT_FALSE(parse_op_mix("4294967295:1:100:0", buf, sizeof(buf)));
 }
 
 TEST(OpMix, ScanPresetAndQuadParser) {
@@ -193,6 +195,8 @@ TEST(OpMix, ScanPresetAndQuadParser) {
   EXPECT_STREQ(quad->name, "10:20:30:40");
   EXPECT_FALSE(parse_op_mix("10:20:30:50", buf, sizeof(buf)));  // sums to 110
   EXPECT_FALSE(parse_op_mix("10:20:30:40:0", buf, sizeof(buf)));
+  EXPECT_FALSE(parse_op_mix("-1:1:100", buf, sizeof(buf)));  // wraps to 100
+  EXPECT_FALSE(parse_op_mix("4294967295:1:100:0", buf, sizeof(buf)));
   // The three-field form still parses and leaves scan_pct zeroed.
   auto triple = parse_op_mix("50:25:25", buf, sizeof(buf));
   ASSERT_TRUE(triple.has_value());
