@@ -35,7 +35,9 @@ ModeResult run_mode(int threads, bool disjoint) {
   const int sets = disjoint ? threads : 1;
   std::vector<std::vector<Cell*>> cells(sets);
   for (auto& set : cells) {
-    for (int c = 0; c < kCellsPerSet; ++c) set.push_back(new Cell(0));
+    for (int c = 0; c < kCellsPerSet; ++c) {
+      set.push_back(EbrManager::alloc<Cell>(0));
+    }
   }
   std::vector<std::uint64_t> successes(threads, 0);
 

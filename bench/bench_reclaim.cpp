@@ -7,17 +7,16 @@
 // multiset churn under each policy and reports throughput plus retained
 // garbage:
 //
-//   ebr   — epoch-deferred delete (the default; bounded garbage)
+//   ebr   — the default: epoch-deferred recycling into per-thread
+//           size-class banks (bounded garbage; steady-state node churn
+//           stops paying malloc/free — pool hits are reported)
 //   leaky — retire() drops nodes on the floor: footprint grows by one
 //           node per removal (SCX descriptors are per-thread slots, so a
 //           leaked node pins nothing else)
-//   pool  — epoch-deferred recycling into per-thread free lists: same
-//           safety as ebr, but steady-state node churn stops paying
-//           malloc/free (pool hits are reported)
 //
 // --json=<file> additionally emits the table as machine-readable JSON
-// (one object per row plus the build configuration), so successive PRs
-// can track a BENCH_*.json perf trajectory.
+// (one object per row plus the build configuration), so successive
+// changes can track a BENCH_*.json perf trajectory.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -107,9 +106,9 @@ bool run(const char* json_path) {
   std::printf("E8: reclamation policy ablation — erase-heavy multiset churn, "
               "%d ms per row (orders: %s)\n",
               bench::phase_millis(), kRelaxedOrders ? "relaxed" : "seq_cst");
-  std::printf("claim: EBR bounds garbage at ~zero after drain; the leaky "
-              "policy leaks exactly the removed nodes and frees nothing; "
-              "the pool policy recycles node storage per-thread\n\n");
+  std::printf("claim: EBR bounds garbage at ~zero after drain and "
+              "recycles node storage per-thread; the leaky policy leaks "
+              "exactly the removed nodes and frees nothing\n\n");
 
   std::vector<CellResult> cells;
   bench::Table t({"threads", "mode", "ops/s", "allocs", "freed via EBR",
@@ -117,7 +116,6 @@ bool run(const char* json_path) {
   for (int threads : bench::thread_grid({1, 4})) {
     cells.push_back(run_cell<EbrManager>(threads));
     cells.push_back(run_cell<LeakyManager>(threads));
-    cells.push_back(run_cell<PoolManager>(threads));
   }
   for (const CellResult& c : cells) {
     t.add_row({std::to_string(c.threads), c.mode,
@@ -130,8 +128,9 @@ bool run(const char* json_path) {
   std::printf("\nnote: 'leaky' rows free nothing: removed nodes are never "
               "freed (unbounded footprint in a long-running process), and "
               "SCX descriptors are per-thread slots that are never "
-              "allocated. 'pool' frees at thread exit; its drained blocks "
-              "sit in per-thread free lists, not the allocator.\n");
+              "allocated. 'ebr' banks up to %zu drained blocks per size "
+              "class and thread, and frees them at thread exit.\n",
+              EbrManager::kBankCap);
   return json_path == nullptr || emit_json(json_path, cells);
 }
 

@@ -30,7 +30,7 @@ struct WideRecord : DataRecord<Y> {
 template <std::size_t Y>
 StepCounts measure_scx_width() {
   Epoch::Guard g;
-  auto* rec = new WideRecord<Y>;
+  auto* rec = EbrManager::alloc<WideRecord<Y>>();
   auto l = llx(rec);
   const LinkedLlx v[] = {l.link()};
   const StepCounts before = Stats::my_snapshot();

@@ -30,7 +30,7 @@ struct Cell : DataRecord<1> {
 StepCounts measure_scx(int k, int f) {
   Epoch::Guard g;
   std::vector<Cell*> cells;
-  for (int i = 0; i < k; ++i) cells.push_back(new Cell(1));
+  for (int i = 0; i < k; ++i) cells.push_back(EbrManager::alloc<Cell>(1));
   LinkedLlx v[ScxRecord::kMaxV];
   for (int i = 0; i < k; ++i) v[i] = llx(cells[i]).link();
   std::uint32_t mask = 0;
@@ -47,7 +47,7 @@ StepCounts measure_vlx(int k) {
   std::vector<Cell*> cells;
   LinkedLlx v[ScxRecord::kMaxV];
   for (int i = 0; i < k; ++i) {
-    cells.push_back(new Cell(1));
+    cells.push_back(EbrManager::alloc<Cell>(1));
     v[i] = llx(cells[i]).link();
   }
   const StepCounts before = Stats::my_snapshot();

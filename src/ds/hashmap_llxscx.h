@@ -184,7 +184,7 @@ class BasicLlxScxHashMap {
         }
       }
       Table* nt = t->next.load(mo::relaxed);
-      delete t;
+      Reclaim::dealloc(t);
       t = nt;
     }
   }
@@ -435,7 +435,7 @@ class BasicLlxScxHashMap {
   Table* make_table(std::size_t buckets) const {
     std::size_t b = 1;
     while (b < buckets) b <<= 1;
-    Table* t = new Table;
+    Table* t = Reclaim::template alloc<Table>();
     t->mask = b - 1;
     t->heads.reserve(b);
     for (std::size_t i = 0; i < b; ++i) {
@@ -450,7 +450,7 @@ class BasicLlxScxHashMap {
       Reclaim::dealloc(next_of(head));  // the tail — never published
       Reclaim::dealloc(head);
     }
-    delete t;
+    Reclaim::dealloc(t);
   }
 
   // --- the two routers ----------------------------------------------------

@@ -24,8 +24,7 @@
 // always from the captured LLX snapshot, and the builder retires the
 // R-set exactly once on commit — through the same policy, so the E8
 // no-free ablation is just `BasicLlxScxMultiset<LeakyManager>` (the old
-// hand-rolled Leaky variant is gone) and per-thread node recycling is
-// `BasicLlxScxMultiset<PoolManager>`.
+// hand-rolled Leaky variant is gone).
 //
 // Shapes (DESIGN.md §6):
 //   insert, key absent   — SCX(V=⟨pred⟩,            R=∅,          pred.next ← n)

@@ -189,10 +189,12 @@ class DataRecord : public DataRecordBase {
 // What an LLX leaves behind for a later SCX/VLX: the record and the info
 // word witnessed in it (the paper's per-process table, made explicit).
 // Plain data — the record's validity is covered by the caller's Guard,
-// which must span the LLX and the SCX/VLX that consumes it.
+// which must span the LLX and the SCX/VLX that consumes it. No default
+// member initializers: arrays of kMaxV links (ScxOp, helpers' copies) are
+// filled only up to k.
 struct LinkedLlx {
-  DataRecordBase* rec = nullptr;
-  std::uint64_t info = 0;
+  DataRecordBase* rec;
+  std::uint64_t info;
 };
 
 template <std::size_t NumMut>
@@ -227,7 +229,7 @@ class LlxResult {
  private:
   Status status_ = kFail;
   std::array<std::uint64_t, NumMut> fields_ = {};
-  LinkedLlx link_;
+  LinkedLlx link_ = {};
 };
 
 // The state of the operation an info word names, as LLX and the range

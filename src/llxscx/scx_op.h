@@ -113,7 +113,7 @@ class Fresh {
 // between threads. The policy decides where freshly() nodes come from and
 // what commit-time retirement does — EbrManager is the default, the
 // LeakyManager instantiation is E8's no-free ablation (what used to be a
-// hand-copied Leaky multiset), PoolManager recycles per-thread.
+// hand-copied Leaky multiset).
 template <typename NodeT, RecordManager Reclaim = EbrManager>
 class ScxOp {
  public:
@@ -211,7 +211,7 @@ class ScxOp {
     if (src_field >= kMut) return misuse(kScxOpBadField);
     const std::size_t si = index_of(src);
     if (si == kNpos) return misuse(kScxOpSourceNotInV);
-    write_word(owner, field, snap_[si].field(src_field));
+    write_word(owner, field, snap_[si][src_field]);
   }
 
   // VLX over the accumulated V-set (claim C-C: k shared reads): true iff
@@ -239,7 +239,7 @@ class ScxOp {
       return false;
     }
     for (std::size_t i = 0; i < k_; ++i) {
-      if (retire_mask_ & (std::uint64_t{1} << i)) Reclaim::retire(recs_[i]);
+      if (retire_mask_ & (std::uint64_t{1} << i)) Reclaim::retire(record(i));
     }
     for (std::size_t i = 0; i < norphan_; ++i) Reclaim::retire(orphans_[i]);
     return true;
@@ -258,11 +258,10 @@ class ScxOp {
       return nullptr;
     }
     v_[k_] = l.link();
-    snap_[k_] = l;
-    recs_[k_] = static_cast<NodeT*>(l.link().rec);
+    for (std::size_t f = 0; f < kMut; ++f) snap_[k_][f] = l.field(f);
     if (finalize) fmask_ |= std::uint64_t{1} << k_;
     if (retire) retire_mask_ |= std::uint64_t{1} << k_;
-    return recs_[k_++];
+    return record(k_++);
   }
 
   void write_word(NodeT* owner, std::size_t field, std::uint64_t val) {
@@ -271,13 +270,17 @@ class ScxOp {
     const std::size_t i = index_of(owner);
     if (i == kNpos) return misuse(kScxOpOwnerNotInV);
     fld_ = &owner->mut(field);
-    old_ = snap_[i].field(field);
+    old_ = snap_[i][field];
     new_ = val;
+  }
+
+  NodeT* record(std::size_t i) const {
+    return static_cast<NodeT*>(v_[i].rec);
   }
 
   std::size_t index_of(const NodeT* r) const {
     for (std::size_t i = 0; i < k_; ++i) {
-      if (recs_[i] == r) return i;
+      if (record(i) == r) return i;
     }
     return kNpos;
   }
@@ -310,9 +313,11 @@ class ScxOp {
     std::abort();
   }
 
+  // V once: v_[i] is the i-th record's link, snap_[i] its LLX snapshot's
+  // field words. Neither is initialized: an attempt writes and reads only
+  // entries below k_.
   LinkedLlx v_[ScxRecord::kMaxV];
-  LlxResult<kMut> snap_[ScxRecord::kMaxV];
-  NodeT* recs_[ScxRecord::kMaxV];
+  std::uint64_t snap_[ScxRecord::kMaxV][kMut];
   std::size_t k_ = 0;
   std::uint64_t fmask_ = 0;         // finalize bits (passed to scx)
   std::uint64_t retire_mask_ = 0;   // ⊆ fmask_: bits this builder retires;

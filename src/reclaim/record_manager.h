@@ -12,11 +12,11 @@
 //
 //   M::alloc<T>(args…)  construct a T (policy decides where the bytes
 //                       come from).
-//   M::retire(T*)       hand over a node the caller just made unreachable
-//                       from the structure's roots. Exactly-once is the
-//                       caller's obligation (the ScxOp builder provides
-//                       it); WHEN (and whether) the destructor runs is the
-//                       policy's.
+//   M::retire(T*)       hand over a node, allocated by M::alloc, that the
+//                       caller just made unreachable from the structure's
+//                       roots. Exactly-once is the caller's obligation
+//                       (the ScxOp builder provides it); WHEN (and
+//                       whether) the destructor runs is the policy's.
 //   M::dealloc(T*)      destroy a node that was NEVER published (an
 //                       aborted op's fresh allocation, or quiescent
 //                       teardown): no grace period needed.
@@ -34,14 +34,14 @@
 // walk — otherwise one reader stalls all reclamation (pinned by
 // test_record_manager's walk-does-not-block-drain case). Limbo accounting
 // lives in the epoch domain too (Epoch::outstanding(), Epoch::Domain): it
-// counts every node the ebr and pool policies retired and not yet freed.
+// counts every node the ebr policy retired and not yet freed.
 //
 // The contract a policy must honor for the LLX/SCX proofs to survive is
 // written out in DESIGN.md §10; the short form: an address handed to
 // retire() must not be handed out by alloc() again while any thread that
 // could still reach the old node holds an Epoch::Guard taken before the
-// retire. EbrManager and PoolManager get this from the epoch grace
-// period; LeakyManager gets it vacuously (retired addresses never recur).
+// retire. EbrManager gets this from the epoch grace period; LeakyManager
+// gets it vacuously (retired addresses never recur).
 #pragma once
 
 #include <concepts>
@@ -53,10 +53,20 @@
 
 #include "reclaim/epoch.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+// AddressSanitizer's poisoning entry points, as <sanitizer/asan_interface.h>
+// declares them. Not that header: under GCC it defines __has_feature(x) as
+// 0 for every later includer, which hides ASan from their feature tests.
+extern "C" void __asan_poison_memory_region(void const volatile* addr,
+                                            std::size_t size);
+extern "C" void __asan_unpoison_memory_region(void const volatile* addr,
+                                              std::size_t size);
+#endif
+
 namespace llxscx {
 
 // Per-thread policy counters (always on: thread-local increments cost
-// nothing shared and the pool-reuse tests read them in every build mode).
+// nothing shared and the block-reuse tests read them in every build mode).
 struct ReclaimStats {
   std::uint64_t allocs = 0;     // nodes constructed through the policy
   std::uint64_t pool_hits = 0;  // allocs served from a per-thread free list
@@ -105,29 +115,72 @@ concept RecordManager = requires(int* p) {
   { M::stats() } -> std::same_as<ReclaimStats&>;
 };
 
-// --- EbrManager: the default — plain new/delete under epoch grace -------
+// --- EbrManager: the default — epoch grace, then per-thread recycling ---
 //
-// Exactly the seed behavior, factored behind the concept: retire defers
-// the delete until every guard that could reach the node has dropped.
+// Retired nodes wait out the epoch grace period (address stability is
+// what the LLX/SCX proofs consume). When it elapses, the deleter — run by
+// the SCANNING thread — destroys the node and banks its block in that
+// thread's free list for its size class; alloc() pops a banked block
+// before it calls operator new, and dealloc() banks too (an unpublished
+// node owes no grace period). Warm node churn then calls no malloc/free.
+// A block reaches a bank only after the grace period that would have
+// preceded its free, so the reuse is exactly as safe as delete-then-malloc.
+//
+// The classes are glibc malloc's chunk sizes (DESIGN.md §10): class c
+// holds blocks of 16c + 24 usable bytes (24, 40, 56, …, 264), so a block
+// keeps the chunk `new` would have given its type, and any type of a
+// class reuses any other's block. Larger types bypass the banks. Each
+// list holds at most kBankCap blocks, so a thread that only retires
+// cannot hoard. Under AddressSanitizer a banked block stays poisoned until
+// alloc() hands it out, so a read of a drained record still reports.
 struct EbrManager {
   static constexpr const char* kName = "ebr";
+
+  static constexpr std::size_t kNumSizeClasses = 16;
+  static constexpr std::size_t kNoSizeClass = ~std::size_t{0};
+  static constexpr std::size_t kBankCap = 1024;
+
+  static constexpr std::size_t size_class_of(std::size_t bytes) {
+    const std::size_t cls = bytes <= 24 ? 0 : (bytes - 24 + 15) / 16;
+    return cls < kNumSizeClasses ? cls : kNoSizeClass;
+  }
+  static constexpr std::size_t size_class_bytes(std::size_t cls) {
+    return 16 * cls + 24;
+  }
 
   template <class T, class... Args>
   static T* alloc(Args&&... args) {
     ++stats().allocs;
-    return new T(std::forward<Args>(args)...);
+    constexpr std::size_t kCls = size_class_of(sizeof(T));
+    if constexpr (kCls == kNoSizeClass) {
+      return new T(std::forward<Args>(args)...);
+    } else {
+      static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                    "banked blocks use default operator new alignment");
+      std::vector<void*>& fl = free_lists().cls[kCls];
+      void* block;
+      if (!fl.empty()) {
+        block = fl.back();
+        fl.pop_back();
+        poison(block, size_class_bytes(kCls), false);
+        ++stats().pool_hits;
+      } else {
+        block = ::operator new(size_class_bytes(kCls));
+      }
+      return ::new (block) T(std::forward<Args>(args)...);
+    }
   }
 
   template <class T>
   static void retire(T* p) {
     ++stats().retires;
-    Epoch::retire(p);
+    Epoch::retire_raw(p, [](void* q) { destroy(static_cast<T*>(q)); });
   }
 
   template <class T>
   static void dealloc(T* p) {
     ++stats().deallocs;
-    delete p;
+    destroy(p);
   }
 
   static void drain() { Epoch::drain_all_for_testing(); }
@@ -136,7 +189,67 @@ struct EbrManager {
     thread_local ReclaimStats s;
     return s;
   }
+
+  // Blocks banked in this thread's list for `cls` (test visibility).
+  static std::size_t free_blocks(std::size_t cls) {
+    return cls < kNumSizeClasses ? free_lists().cls[cls].size() : 0;
+  }
+
+  // Return every banked block on THIS thread to the allocator. Tests that
+  // pin pool_hits deltas call this first so blocks left over from earlier
+  // tests in the same size class cannot satisfy (and miscount) an alloc.
+  static void purge_thread_cache() { free_lists().purge(); }
+
+ private:
+  template <class T>
+  static void destroy(T* p) {
+    constexpr std::size_t kCls = size_class_of(sizeof(T));
+    if constexpr (kCls == kNoSizeClass) {
+      delete p;
+    } else {
+      p->~T();
+      std::vector<void*>& fl = free_lists().cls[kCls];
+      if (fl.size() >= kBankCap) {
+        ::operator delete(p);
+        return;
+      }
+      if (fl.capacity() == 0) fl.reserve(kBankCap);  // never regrows
+      poison(p, size_class_bytes(kCls), true);
+      fl.push_back(p);
+    }
+  }
+
+  static void poison([[maybe_unused]] void* b, [[maybe_unused]] std::size_t n,
+                     [[maybe_unused]] bool on) {
+#if defined(__SANITIZE_ADDRESS__)
+    (on ? __asan_poison_memory_region : __asan_unpoison_memory_region)(b, n);
+#endif
+  }
+
+  // Raw blocks of size_class_bytes(c) in cls[c]; freed for real at thread
+  // exit so the banks never show up as a leak.
+  struct FreeLists {
+    std::vector<void*> cls[kNumSizeClasses];
+    void purge() {
+      for (std::size_t c = 0; c < kNumSizeClasses; ++c) {
+        for (void* b : cls[c]) {
+          poison(b, size_class_bytes(c), false);
+          ::operator delete(b);
+        }
+        cls[c].clear();
+      }
+    }
+    ~FreeLists() { purge(); }
+  };
+
+  static FreeLists& free_lists() {
+    thread_local FreeLists fl;
+    return fl;
+  }
 };
+
+// The frozen serving benchmark still names this policy.
+using PoolManager = EbrManager;
 
 // --- LeakyManager: the no-free baseline (E8's ablation) -----------------
 //
@@ -174,138 +287,7 @@ struct LeakyManager {
   }
 };
 
-// --- PoolManager: size-classed per-thread free lists on top of EBR ------
-//
-// The throughput candidate: retired nodes still wait out the epoch grace
-// period (address stability is what the LLX/SCX proofs consume), but when
-// the grace period elapses the storage goes to a per-thread free list
-// instead of the allocator, and alloc() placement-news into a recycled
-// block when one is available. Node churn (every SCX replaces nodes by
-// design) then stops paying malloc/free on the steady state.
-//
-// Lists are keyed by SIZE CLASS, not by type (DESIGN.md §14): 16-byte
-// steps up to 256 bytes, which covers every node type in ds/. A block
-// allocated for any type in a class can be reused by any other type in
-// that class — BST internal nodes recycle into Patricia leaves — so
-// mixed-structure churn shares one pool instead of fragmenting across
-// per-type lists. Larger types fall back to plain new/delete (still
-// grace-deferred).
-//
-// The reuse is exactly as safe as delete-then-malloc reuse: a block only
-// reaches the pool after the same grace period that would have preceded
-// its free, so an address can re-enter a mutable field no earlier than it
-// could under EbrManager.
-struct PoolManager {
-  static constexpr const char* kName = "pool";
-
-  // 16-byte-granularity classes 0..15 cover 16..256 bytes. Returns
-  // kNoSizeClass above that.
-  static constexpr std::size_t kNumSizeClasses = 16;
-  static constexpr std::size_t kNoSizeClass = ~std::size_t{0};
-
-  static constexpr std::size_t size_class_of(std::size_t bytes) {
-    if (bytes == 0) return 0;
-    if (bytes <= 256) return (bytes + 15) / 16 - 1;
-    return kNoSizeClass;
-  }
-  static constexpr std::size_t size_class_bytes(std::size_t cls) {
-    return (cls + 1) * 16;
-  }
-
-  template <class T, class... Args>
-  static T* alloc(Args&&... args) {
-    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
-                  "pooled blocks use default operator new alignment");
-    ++stats().allocs;
-    void* block;
-    constexpr std::size_t kCls = size_class_of(sizeof(T));
-    if constexpr (kCls == kNoSizeClass) {
-      block = ::operator new(sizeof(T));
-    } else {
-      std::vector<void*>& fl = free_lists().cls[kCls];
-      if (!fl.empty()) {
-        block = fl.back();
-        fl.pop_back();
-        ++stats().pool_hits;
-      } else {
-        block = ::operator new(size_class_bytes(kCls));
-      }
-    }
-    return ::new (block) T(std::forward<Args>(args)...);
-  }
-
-  template <class T>
-  static void retire(T* p) {
-    ++stats().retires;
-    // Grace first, pool after: the deleter runs on the SCANNING thread
-    // once no pre-retire guard survives, destroys the node, and banks the
-    // storage in that thread's class list (per-thread lists, so no lock).
-    Epoch::retire_raw(p, [](void* q) {
-      T* t = static_cast<T*>(q);
-      t->~T();
-      bank<T>(q);
-    });
-  }
-
-  template <class T>
-  static void dealloc(T* p) {
-    // Never published: no grace period owed; recycle immediately.
-    ++stats().deallocs;
-    p->~T();
-    bank<T>(p);
-  }
-
-  static void drain() { Epoch::drain_all_for_testing(); }
-
-  static ReclaimStats& stats() {
-    thread_local ReclaimStats s;
-    return s;
-  }
-
-  // Blocks banked in this thread's list for `cls` (test visibility).
-  static std::size_t free_blocks(std::size_t cls) {
-    return cls < kNumSizeClasses ? free_lists().cls[cls].size() : 0;
-  }
-
-  // Return every banked block on THIS thread to the allocator. Tests that
-  // pin pool_hits deltas call this first so blocks left over from earlier
-  // tests in the same size class cannot satisfy (and miscount) an alloc.
-  static void purge_thread_cache() {
-    for (std::vector<void*>& fl : free_lists().cls) {
-      for (void* b : fl) ::operator delete(b);
-      fl.clear();
-    }
-  }
-
- private:
-  template <class T>
-  static void bank(void* q) {
-    constexpr std::size_t kCls = size_class_of(sizeof(T));
-    if constexpr (kCls == kNoSizeClass) {
-      ::operator delete(q);
-    } else {
-      free_lists().cls[kCls].push_back(q);
-    }
-  }
-
-  // Raw storage blocks of size_class_bytes(cls); freed for real at thread
-  // exit so the pool never shows up as a leak.
-  struct FreeLists {
-    std::vector<void*> cls[kNumSizeClasses];
-    ~FreeLists() {
-      for (std::vector<void*>& fl : cls)
-        for (void* b : fl) ::operator delete(b);
-    }
-  };
-
-  static FreeLists& free_lists() {
-    thread_local FreeLists fl;
-    return fl;
-  }
-};
-
 static_assert(RecordManager<EbrManager>);
 static_assert(RecordManager<LeakyManager>);
-static_assert(RecordManager<PoolManager>);
 
 }  // namespace llxscx

@@ -1,6 +1,6 @@
 // Batched-operation conformance (DESIGN.md §14): container_multi_get /
 // container_apply_batch over EVERY engine — the seven structures and their
-// ShardedMap wrappers — plus the size-classed PoolManager.
+// ShardedMap wrappers — plus EbrManager's size-classed banks.
 //
 // What is pinned here:
 //   - multi_get answers exactly like per-key contains (quiescently, and
@@ -10,10 +10,12 @@
 //     batches, and n == 1;
 //   - the hashmap's interleaved lanes survive a live bucket migration
 //     (the kMoved/kDone routing is per lane);
-//   - PoolManager's free lists are size-classed: reuse is by address
-//     equality WITHIN a class and never across classes.
+//   - EbrManager's free lists are size-classed by malloc chunk size:
+//     reuse is by address equality WITHIN a class and never across
+//     classes, and a thread banks at most kBankCap blocks per class.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -352,59 +354,91 @@ TEST(MultiGetShape, SameStepsAsScalarGets) {
   }
 }
 
-// --- PoolManager size classes and buffered retire ------------------------
+// --- EbrManager size classes and the bank cap ------------------------------
 
-TEST(PoolManagerSizeClasses, MappingPinned) {
-  static_assert(PoolManager::size_class_of(1) == 0);
-  static_assert(PoolManager::size_class_of(16) == 0);
-  static_assert(PoolManager::size_class_of(17) == 1);
-  static_assert(PoolManager::size_class_of(256) == 15);
-  static_assert(PoolManager::size_class_of(257) == PoolManager::kNoSizeClass);
-  static_assert(PoolManager::size_class_bytes(0) == 16);
-  static_assert(PoolManager::size_class_bytes(15) == 256);
-  // Every block a class hands out is big enough for every size mapped to
-  // that class (the invariant that makes cross-type reuse sound).
-  for (std::size_t bytes = 1; bytes <= 256; ++bytes) {
-    const std::size_t cls = PoolManager::size_class_of(bytes);
-    ASSERT_LT(cls, PoolManager::kNumSizeClasses);
-    ASSERT_GE(PoolManager::size_class_bytes(cls), bytes);
+// The classes are glibc malloc's chunk sizes: a request of n bytes gets a
+// chunk of max(32, round_up(n + 8, 16)) bytes with 8 bytes of header, so
+// class c's 16c + 24 bytes are exactly the usable bytes of the chunk that
+// `new` gives every size mapped to c — banking never grows a node's chunk.
+TEST(EbrManagerSizeClasses, MappingIsMallocChunkSizes) {
+  static_assert(EbrManager::size_class_of(1) == 0);
+  static_assert(EbrManager::size_class_of(24) == 0);
+  static_assert(EbrManager::size_class_of(25) == 1);
+  static_assert(EbrManager::size_class_of(40) == 1);
+  static_assert(EbrManager::size_class_of(56) == 2);
+  static_assert(EbrManager::size_class_of(264) == 15);
+  static_assert(EbrManager::size_class_of(265) == EbrManager::kNoSizeClass);
+  static_assert(EbrManager::size_class_bytes(0) == 24);
+  static_assert(EbrManager::size_class_bytes(2) == 56);
+  static_assert(EbrManager::size_class_bytes(15) == 264);
+  // The two hot node types share the 56-byte class (64-byte chunks).
+  static_assert(sizeof(ChromaticNode) == 56);
+  static_assert(sizeof(HashMapNode) == 48);
+  static_assert(EbrManager::size_class_of(sizeof(ChromaticNode)) == 2);
+  static_assert(EbrManager::size_class_of(sizeof(HashMapNode)) == 2);
+  for (std::size_t bytes = 1; bytes <= 264; ++bytes) {
+    const std::size_t cls = EbrManager::size_class_of(bytes);
+    ASSERT_LT(cls, EbrManager::kNumSizeClasses);
+    const std::size_t chunk =
+        std::max<std::size_t>(32, (bytes + 8 + 15) & ~std::size_t{15});
+    ASSERT_EQ(EbrManager::size_class_bytes(cls), chunk - 8) << bytes;
   }
 }
 
-TEST(PoolManagerSizeClasses, ReuseByAddressEqualityPerClass) {
-  struct A24 {
-    char b[24];
-  };
-  struct B32 {
+TEST(EbrManagerSizeClasses, ReuseByAddressEqualityPerClass) {
+  struct A32 {
     char b[32];
   };
-  struct C40 {
+  struct B40 {
     char b[40];
   };
-  static_assert(PoolManager::size_class_of(sizeof(A24)) ==
-                PoolManager::size_class_of(sizeof(B32)));
-  static_assert(PoolManager::size_class_of(sizeof(C40)) !=
-                PoolManager::size_class_of(sizeof(A24)));
-  PoolManager::drain();
-  PoolManager::purge_thread_cache();
+  struct C48 {
+    char b[48];
+  };
+  constexpr std::size_t kAB = EbrManager::size_class_of(sizeof(A32));
+  constexpr std::size_t kC = EbrManager::size_class_of(sizeof(C48));
+  static_assert(kAB == EbrManager::size_class_of(sizeof(B40)));
+  static_assert(kC != kAB);
+  EbrManager::drain();
+  EbrManager::purge_thread_cache();
 
-  A24* a = PoolManager::alloc<A24>();
+  A32* a = EbrManager::alloc<A32>();
   const void* addr = a;
-  PoolManager::dealloc(a);
-  EXPECT_EQ(PoolManager::free_blocks(1), 1u);
+  EbrManager::dealloc(a);
+  EXPECT_EQ(EbrManager::free_blocks(kAB), 1u);
   // Same class, DIFFERENT type: the banked block comes straight back.
-  B32* b = PoolManager::alloc<B32>();
+  B40* b = EbrManager::alloc<B40>();
   EXPECT_EQ(static_cast<const void*>(b), addr)
       << "same-class alloc must reuse the banked block";
-  // Different class: must NOT alias the class-1 block.
-  PoolManager::dealloc(b);
-  C40* c = PoolManager::alloc<C40>();
+  // Different class: must NOT alias the banked block.
+  EbrManager::dealloc(b);
+  C48* c = EbrManager::alloc<C48>();
   EXPECT_NE(static_cast<const void*>(c), addr)
       << "cross-class reuse would hand out an undersized block";
-  PoolManager::dealloc(c);
-  EXPECT_EQ(PoolManager::free_blocks(1), 1u);
-  EXPECT_EQ(PoolManager::free_blocks(2), 1u);
-  PoolManager::purge_thread_cache();
+  EbrManager::dealloc(c);
+  EXPECT_EQ(EbrManager::free_blocks(kAB), 1u);
+  EXPECT_EQ(EbrManager::free_blocks(kC), 1u);
+  EbrManager::purge_thread_cache();
+}
+
+// A thread that only retires cannot hoard: past kBankCap blocks per class,
+// grace-expired storage goes back to operator delete.
+TEST(EbrManagerSizeClasses, BankHoldsAtMostTheCap) {
+  struct Rec {
+    char b[56];
+  };
+  constexpr std::size_t kCls = EbrManager::size_class_of(sizeof(Rec));
+  EbrManager::drain();
+  EbrManager::purge_thread_cache();
+  const std::uint64_t outstanding0 = Epoch::outstanding();
+  std::vector<Rec*> recs(10 * EbrManager::kBankCap);
+  for (Rec*& r : recs) r = EbrManager::alloc<Rec>();
+  for (Rec* r : recs) EbrManager::retire(r);
+  EbrManager::drain();
+  EXPECT_EQ(Epoch::outstanding(), outstanding0);
+  EXPECT_EQ(EbrManager::free_blocks(kCls), EbrManager::kBankCap);
+  EbrManager::purge_thread_cache();
+  EXPECT_EQ(EbrManager::free_blocks(kCls), 0u);
 }
 
 }  // namespace

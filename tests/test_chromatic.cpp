@@ -3,8 +3,8 @@
 // no red-red / no overweight after quiescence, weighted-path equality)
 // via consistency_error(), the O(log n) sequential-insert depth pinned
 // against the unbalanced BST's linear depth, deterministic rebalancing
-// shapes, a 4-thread locked-oracle stress, and a PoolManager
-// instantiation of the same stress.
+// shapes, a 4-thread locked-oracle stress, and a small-key-space churn
+// that recycles rotation sections' storage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -199,14 +199,14 @@ TEST(ChromaticStress, MatchesLockedOracleUnderContention) {
       << "all retired nodes/descriptors must drain once threads quiesce";
 }
 
-// The same churn through the PoolManager policy: rebalancing SCXs retire
-// whole rotation sections, so pooled reuse gets exercised hard; the
+// Churn on a small key space: rebalancing SCXs retire whole rotation
+// sections, so EbrManager's block recycling gets exercised hard; the
 // invariants must be indifferent to where node storage comes from.
-TEST(ChromaticStress, PoolManagerChurnKeepsInvariants) {
+TEST(ChromaticStress, RecyclingChurnKeepsInvariants) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kKeySpace = 128;
 
-  BasicLlxScxChromatic<PoolManager> t;
+  BasicLlxScxChromatic<EbrManager> t;
   const std::uint64_t total_ops = testing::run_stress_workers(
       kThreads, 4000,
       [&](int, Xoshiro256& rng, const std::atomic<bool>& stop) {
@@ -226,7 +226,7 @@ TEST(ChromaticStress, PoolManagerChurnKeepsInvariants) {
   EXPECT_GT(total_ops, 0u);
   EXPECT_EQ(t.consistency_error(), std::nullopt);
   for (const auto& [key, value] : t.items()) EXPECT_EQ(value, key * 7);
-  PoolManager::drain();
+  EbrManager::drain();
   EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 

@@ -9,8 +9,7 @@
 //   3. all superseded chains, markers, and bucket arrays drain to zero
 //      under EbrManager once quiescent.
 // A typed companion runs the same growth sequentially under EbrManager
-// AND PoolManager (the pool recycles every migrated node's storage) and
-// pins the map surface the booleans-only conformance suite cannot see:
+// (which recycles every migrated node's storage) and pins the map surface the booleans-only conformance suite cannot see:
 // the occupancy profile and upsert-replaces-value through get(). A second
 // typed case grows keys that all collide in one bucket, the path where
 // backpressure routes into a table that is still being migrated into.
@@ -68,14 +67,14 @@ void settle(Map& m) {
   }
 }
 
-using MapTypes = ::testing::Types<EbrManager, PoolManager>;
+using MapTypes = ::testing::Types<EbrManager>;
 
 template <typename Policy>
 class HashMapGrowth : public ::testing::Test {};
 TYPED_TEST_SUITE(HashMapGrowth, MapTypes);
 
-// Sequential growth from one bucket, under both reclamation policies:
-// exactness plus the chain bound after the dust settles.
+// Sequential growth from one bucket, with every migrated node's block
+// recycled: exactness plus the chain bound after the dust settles.
 TYPED_TEST(HashMapGrowth, SingleBucketToHundredThousandKeys) {
   constexpr std::uint64_t kKeys = 100'000;
   {

@@ -58,7 +58,7 @@ TEST(LlxScx, ScxCommitsSingleRecordFieldUpdate) {
 
 TEST(LlxScx, LlxAfterFinalizeReturnsFinalized) {
   Epoch::Guard g;
-  auto* r = new Rec(1, 2);
+  auto* r = EbrManager::alloc<Rec>(1, 2);
   auto l = llx(r);
   ASSERT_TRUE(l.ok());
   const LinkedLlx v[1] = {l.link()};
@@ -130,7 +130,7 @@ TEST(LlxScx, UncontendedScxStepCountsMatchClaimCA) {
   Rec* recs[k];
   LinkedLlx v[k];
   for (int i = 0; i < k; ++i) {
-    recs[i] = new Rec(1, 1);
+    recs[i] = EbrManager::alloc<Rec>(1, 1);
     auto l = llx(recs[i]);
     ASSERT_TRUE(l.ok());
     v[i] = l.link();

@@ -131,10 +131,10 @@ TEST(Multiset, LeakyManagerPolicySameSemantics) {
   check_common_semantics<BasicLlxScxMultiset<LeakyManager>>();
 }
 
-// And PoolManager (per-thread node recycling over EBR) is semantically
-// indistinguishable too; reuse itself is pinned in test_record_manager.
-TEST(Multiset, PoolManagerPolicySameSemantics) {
-  check_common_semantics<BasicLlxScxMultiset<PoolManager>>();
+// And EbrManager (the default: per-thread node recycling over EBR) meets
+// the same contract; reuse itself is pinned in test_record_manager.
+TEST(Multiset, EbrManagerPolicySameSemantics) {
+  check_common_semantics<BasicLlxScxMultiset<EbrManager>>();
   Epoch::drain_all_for_testing();
 }
 

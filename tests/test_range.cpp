@@ -19,6 +19,8 @@
 //     feeds the existing cleanup);
 //   - an insert calls operator new only for the records its SCXs
 //     install: 3 per absent key, 0 per present key, 2·G+1 per group;
+//   - warm insert/erase churn calls operator new zero times: EbrManager
+//     recycles every record's block (tree, hash map and sharded tree);
 //   - the multiset's range() walks its window in ascending order and the
 //     hash map's scan_n() is a bounded, duplicate-free sample.
 #include <gtest/gtest.h>
@@ -335,6 +337,46 @@ void expect_inserts_allocate_only_records(std::size_t bulk_news) {
 TEST(InsertHeap, InsertsAllocateOnlyTheirFreshRecords) {
   expect_inserts_allocate_only_records<BasicLlxScxBst<LeakyManager>>(66);
   expect_inserts_allocate_only_records<BasicLlxScxPatricia<LeakyManager>>(67);
+}
+
+// --- warm churn: updates call operator new zero times -----------------------
+
+// One thread prefills 1024 of 2048 keys, then runs 20k warm-up ops of 50/50
+// put/erase over all 2048 keys: that brings the thread's epoch records,
+// limbo lists, scan buffer and size-class banks to their high water. The
+// next 20k ops must call operator new zero times — every record an update
+// installs reuses a block that the grace period handed back to a bank.
+template <class M, class Put>
+std::size_t heap_news_in_warm_churn(M& m, Put put) {
+  Xoshiro256 rng(2048);
+  for (std::uint64_t k = 2; k <= 2048; k += 2) put(m, k);
+  const auto churn = [&] {
+    for (int i = 0; i < 20'000; ++i) {
+      const std::uint64_t key = 1 + rng.below(2048);
+      if (rng.percent(50)) {
+        put(m, key);
+      } else {
+        m.erase(key);
+      }
+    }
+  };
+  churn();
+  const std::size_t before = t_heap_news;
+  churn();
+  return t_heap_news - before;
+}
+
+TEST(InsertHeap, WarmChurnCallsOperatorNewZeroTimes) {
+  const auto insert = [](auto& m, std::uint64_t k) { m.insert(k, k); };
+  const auto upsert = [](auto& m, std::uint64_t k) { m.upsert(k, k); };
+  LlxScxChromatic tree;
+  EXPECT_EQ(heap_news_in_warm_churn(tree, insert), 0u)
+      << LlxScxChromatic::kName;
+  LlxScxHashMap map(1024);
+  EXPECT_EQ(heap_news_in_warm_churn(map, upsert), 0u) << LlxScxHashMap::kName;
+  ShardedMap<LlxScxChromatic> sharded;
+  EXPECT_EQ(heap_news_in_warm_churn(sharded, insert), 0u)
+      << ShardedMap<LlxScxChromatic>::kName;
 }
 
 // --- multiset range / hashmap scan_n ----------------------------------------

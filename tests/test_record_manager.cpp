@@ -1,16 +1,18 @@
-// RecordManager policy conformance (DESIGN.md §10): the three managers
-// (EbrManager / LeakyManager / PoolManager) against the contract every
-// structure relies on — alloc constructs, dealloc destroys immediately,
-// retire destroys exactly once after a drain (or never, for the leaky
-// policy, whose drop is itself pinned), pooled storage is observably
-// reused — plus the structure stresses re-instantiated with PoolManager,
-// so node recycling runs under real SCX helping/contention (TSAN and
-// ASAN ride along via the sanitizer CI jobs).
+// RecordManager policy conformance (DESIGN.md §10): the two managers
+// (EbrManager / LeakyManager) against the contract every structure relies
+// on — alloc constructs, dealloc destroys immediately, retire destroys
+// exactly once after a drain (or never, for the leaky policy, whose drop
+// is itself pinned), EbrManager's banked storage is observably reused and
+// stays poisoned for AddressSanitizer while banked — plus multiset and
+// queue stresses whose recycled addresses flow back into live structures
+// under real SCX helping/contention (TSAN and ASAN ride along via the
+// sanitizer CI jobs).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <latch>
 #include <thread>
 #include <type_traits>
@@ -51,7 +53,7 @@ std::vector<Payload*>& leak_park() {
 
 template <typename M>
 class RecordManagerConformance : public ::testing::Test {};
-using Managers = ::testing::Types<EbrManager, LeakyManager, PoolManager>;
+using Managers = ::testing::Types<EbrManager, LeakyManager>;
 TYPED_TEST_SUITE(RecordManagerConformance, Managers);
 
 TYPED_TEST(RecordManagerConformance, SatisfiesConcept) {
@@ -124,7 +126,7 @@ TYPED_TEST(RecordManagerConformance, RetireDestroysExactlyOnceAfterDrain) {
 
 // A retire under a live guard must not destroy before the guard drops —
 // the grace property every structure's traversals lean on. (Leaky holds
-// it vacuously; asserting it for all three keeps the contract uniform.)
+// it vacuously; asserting it for both keeps the contract uniform.)
 TYPED_TEST(RecordManagerConformance, NoDestructionUnderLiveGuard) {
   TypeParam::drain();
   const int live0 = Payload::live.load();
@@ -153,50 +155,72 @@ TYPED_TEST(RecordManagerConformance, NoDestructionUnderLiveGuard) {
   }
 }
 
-// Pool-specific: after a retire drains, the storage is handed back by the
+// Recycling: after a retire drains, the storage is handed back by the
 // next alloc of the same type — observable both through the stats and as
 // literal address reuse (per-thread LIFO free list ⇒ same block).
-TEST(PoolManager, RetiredStorageIsReused) {
-  struct PoolProbe {
-    explicit PoolProbe(int v) : value(v) {}
+TEST(EbrManager, RetiredStorageIsReused) {
+  struct ReuseProbe {
+    explicit ReuseProbe(int v) : value(v) {}
     int value;
   };
-  PoolManager::drain();
+  EbrManager::drain();
   // Free lists are size-classed, not per-type: blocks banked by earlier
-  // tests in PoolProbe's class would satisfy (and miscount) the first
+  // tests in ReuseProbe's class would satisfy (and miscount) the first
   // alloc below, so start from an empty thread cache.
-  PoolManager::purge_thread_cache();
-  const ReclaimStats before = PoolManager::stats();
-  PoolProbe* first = PoolManager::alloc<PoolProbe>(1);
+  EbrManager::purge_thread_cache();
+  const ReclaimStats before = EbrManager::stats();
+  ReuseProbe* first = EbrManager::alloc<ReuseProbe>(1);
   const void* first_addr = first;
-  PoolManager::retire(first);
-  PoolManager::drain();  // grace elapses; block lands in THIS thread's pool
-  PoolProbe* second = PoolManager::alloc<PoolProbe>(2);
+  EbrManager::retire(first);
+  EbrManager::drain();  // grace elapses; block lands in THIS thread's bank
+  ReuseProbe* second = EbrManager::alloc<ReuseProbe>(2);
   EXPECT_EQ(static_cast<const void*>(second), first_addr)
-      << "LIFO per-thread pool must hand the drained block straight back";
+      << "LIFO per-thread bank must hand the drained block straight back";
   EXPECT_EQ(second->value, 2) << "placement-new re-ran the constructor";
-  const ReclaimStats d = PoolManager::stats() - before;
+  const ReclaimStats d = EbrManager::stats() - before;
   EXPECT_EQ(d.allocs, 2u);
-  EXPECT_EQ(d.pool_hits, 1u) << "exactly the second alloc hit the pool";
-  PoolManager::dealloc(second);
+  EXPECT_EQ(d.pool_hits, 1u) << "exactly the second alloc hit the bank";
+  EbrManager::dealloc(second);
 }
 
 // An unpublished node (the ScxOp abort path) is recycled immediately —
-// no drain needed for the pool to serve it back.
-TEST(PoolManager, DeallocRecyclesWithoutGrace) {
+// no drain needed for the bank to serve it back.
+TEST(EbrManager, DeallocRecyclesWithoutGrace) {
   struct AbortProbe {
     int x = 0;
   };
-  PoolManager::purge_thread_cache();  // same-class blocks from earlier tests
-  const ReclaimStats before = PoolManager::stats();
-  AbortProbe* p = PoolManager::alloc<AbortProbe>();
+  EbrManager::purge_thread_cache();  // same-class blocks from earlier tests
+  const ReclaimStats before = EbrManager::stats();
+  AbortProbe* p = EbrManager::alloc<AbortProbe>();
   const void* addr = p;
-  PoolManager::dealloc(p);
-  AbortProbe* q = PoolManager::alloc<AbortProbe>();
+  EbrManager::dealloc(p);
+  AbortProbe* q = EbrManager::alloc<AbortProbe>();
   EXPECT_EQ(static_cast<const void*>(q), addr);
-  const ReclaimStats d = PoolManager::stats() - before;
+  const ReclaimStats d = EbrManager::stats() - before;
   EXPECT_EQ(d.pool_hits, 1u);
-  PoolManager::dealloc(q);
+  EbrManager::dealloc(q);
+}
+
+// Recycling must not hide use-after-free from AddressSanitizer: a banked
+// block stays poisoned until alloc() hands it out again, so reading a
+// retired record after its grace period is still reported.
+TEST(EbrManagerDeathTest, ReadingADrainedRecordIsUseAfterPoison) {
+#if defined(__SANITIZE_ADDRESS__)
+  struct Probe {
+    std::uint64_t word = 42;
+  };
+  EXPECT_DEATH(
+      {
+        Probe* p = EbrManager::alloc<Probe>();
+        EbrManager::retire(p);
+        EbrManager::drain();
+        const volatile std::uint64_t* word = &p->word;
+        std::printf("%llu\n", static_cast<unsigned long long>(*word));
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
 }
 
 // A long whole-table walk must not stall other threads' reclamation: the
@@ -253,19 +277,19 @@ TEST(EbrManagerWalks, OccupancyWalkDoesNotBlockAnotherThreadsDrain) {
   EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 
-// --- Structure stresses re-instantiated with PoolManager -----------------
+// --- Structure stresses over recycled storage ----------------------------
 //
 // The conformance suite above exercises the policy in isolation; these
 // run it under real SCX helping: recycled addresses flow back into live
 // structures while other threads hold guards into the old incarnations —
 // exactly the reuse the grace period must make invisible.
 
-TEST(PoolManagerStress, MultisetMatchesLockedOracleUnderContention) {
+TEST(RecyclingStress, MultisetMatchesLockedOracleUnderContention) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kHotKeys = 8;
   constexpr std::uint64_t kKeySpace = 128;
 
-  BasicLlxScxMultiset<PoolManager> ms;
+  BasicLlxScxMultiset<EbrManager> ms;
   testing::KeyedOracle oracle;
 
   const std::uint64_t total_ops = testing::run_stress_workers(
@@ -299,14 +323,14 @@ TEST(PoolManagerStress, MultisetMatchesLockedOracleUnderContention) {
         << "divergence at key " << key;
   }
   EXPECT_GT(total_ops, 0u);
-  PoolManager::drain();
+  EbrManager::drain();
   EXPECT_EQ(Epoch::outstanding(), 0u)
-      << "pooled retires must still drain the epoch to zero";
+      << "recycling retires must still drain the epoch to zero";
 }
 
-TEST(PoolManagerStress, QueueConservesValuesWithTailHint) {
+TEST(RecyclingStress, QueueConservesValuesWithTailHint) {
   constexpr int kThreads = 4;
-  BasicLlxScxQueue<PoolManager> q;
+  BasicLlxScxQueue<EbrManager> q;
   std::vector<std::vector<std::uint64_t>> enqueued(kThreads);
   std::vector<std::vector<std::uint64_t>> dequeued(kThreads);
 
@@ -343,10 +367,10 @@ TEST(PoolManagerStress, QueueConservesValuesWithTailHint) {
   }
   std::sort(in.begin(), in.end());
   std::sort(out.begin(), out.end());
-  EXPECT_EQ(in, out) << "queue lost or duplicated elements under pooling";
+  EXPECT_EQ(in, out) << "queue lost or duplicated elements under recycling";
 
   EXPECT_GT(total_ops, 0u);
-  PoolManager::drain();
+  EbrManager::drain();
   EXPECT_EQ(Epoch::outstanding(), 0u);
 }
 

@@ -41,7 +41,7 @@ struct MisuseRecorder {
 TEST(ScxOp, CommitWritesFieldAndFinalizesRSet) {
   Epoch::Guard g;
   Rec a(1, 2);
-  auto* r = new Rec(3, 4);
+  auto* r = EbrManager::alloc<Rec>(3, 4);
   auto la = llx(&a);
   auto lr = llx(r);
   ASSERT_TRUE(la.ok());
@@ -57,7 +57,7 @@ TEST(ScxOp, CommitWritesFieldAndFinalizesRSet) {
   auto lr2 = llx(r);
   EXPECT_TRUE(lr2.is_finalized()) << "remove() must finalize on commit";
   // r was retired by the builder (exactly once); n was published.
-  delete n.get();
+  EbrManager::dealloc(n.get());
   Epoch::drain_all_for_testing();
 }
 
@@ -117,7 +117,7 @@ TEST(ScxOp, ValidateDetectsInterveningCommit) {
 
 TEST(ScxOpMisuse, StaleSnapshotDiagnosed) {
   Epoch::Guard g;
-  auto* r = new Rec(1, 2);
+  auto* r = EbrManager::alloc<Rec>(1, 2);
   auto l = llx(r);
   ASSERT_TRUE(l.ok());
   const LinkedLlx v[1] = {l.link()};
@@ -157,7 +157,7 @@ TEST(ScxOpMisuse, ReusedNewValueDiagnosed) {
   ASSERT_EQ(MisuseRecorder::log().size(), 1u);
   EXPECT_EQ(MisuseRecorder::log()[0], kScxOpNewNotFresh);
   EXPECT_EQ(a.mut(1).load(), 2u) << "poisoned op must not write";
-  delete n1.get();
+  EbrManager::dealloc(n1.get());
 }
 
 TEST(ScxOpMisuse, FldOwnerNotInVDiagnosed) {

@@ -4,8 +4,8 @@
 // epoch INDEPENDENCE property the whole layer exists for (a guard pinned
 // on shard A must not stop shard B from draining), the degenerate
 // all-traffic-on-one-shard regime, range()'s slice merge at every width,
-// a swapped RecordManager engine, and the steps_of aggregation story
-// (routing adds zero shared steps).
+// a recycling engine draining under the front-end, and the steps_of
+// aggregation story (routing adds zero shared steps).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -249,9 +249,10 @@ TEST(ShardedMap, RangeMergesEveryWidthLikeTheOracle) {
   }
 }
 
-// The engine's RecordManager swaps under the front-end like anywhere else.
-TEST(ShardedMap, PooledEngineWorksUnderTheFrontEnd) {
-  ShardedMap<BasicLlxScxHashMap<PoolManager>> m(2);
+// Every shard's retired nodes drain to zero through its own domain while
+// the engine's policy recycles their blocks.
+TEST(ShardedMap, RecyclingEngineDrainsUnderTheFrontEnd) {
+  ShardedMap<BasicLlxScxHashMap<EbrManager>> m(2);
   for (std::uint64_t k = 1; k <= 200; ++k) ASSERT_TRUE(m.insert(k, k));
   for (std::uint64_t k = 1; k <= 200; ++k) ASSERT_TRUE(m.erase(k));
   EXPECT_EQ(m.size(), 0u);

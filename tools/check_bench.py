@@ -4,7 +4,8 @@
 Checks the four files the CI bench-smoke job writes, all in one directory
 (default: the current one):
 
-  bench_reclaim.json        parses as JSON
+  bench_reclaim.json        ebr and leaky rows: drain-to-zero, pool hits,
+                            no frees under the leaky policy
   bench_bst.json            every tree publishes seq-bulk and scan rows
   bench_workload.json       consolidated schema, ycsb-e scans, both widths
   bench_workload_scan.json  the --engines filter and the forced ycsb-e mix
@@ -26,10 +27,18 @@ def load(directory, name):
 
 
 def check_reclaim(directory):
-    # The JSON emitters are part of the contract (BENCH_*.json perf
-    # trajectory for future changes): they must stay parseable.
-    load(directory, 'bench_reclaim.json')
-    print('bench_reclaim.json OK')
+    # E8's two policies and what each must show: EBR drains to zero and
+    # its allocations hit the per-thread banks; the leaky policy frees
+    # nothing.
+    rows = load(directory, 'bench_reclaim.json')['rows']
+    assert {r['mode'] for r in rows} == {'ebr', 'leaky'}, rows
+    for r in rows:
+        if r['mode'] == 'ebr':
+            assert r['outstanding_after_drain'] == 0, r
+            assert r['pool_hits'] > 0, r
+        else:
+            assert r['freed'] == 0, r
+    print(f'bench_reclaim.json OK: {len(rows)} rows')
 
 
 def check_bst(directory):
