@@ -24,12 +24,7 @@
 
 namespace llxscx::bench {
 
-inline int phase_millis() {
-  if (const char* env = std::getenv("LLXSCX_BENCH_MS")) {
-    return std::max(1, std::atoi(env));
-  }
-  return 200;
-}
+inline int phase_millis() { return env_phase_millis(200); }
 
 // LLXSCX_BENCH_THREADS caps every bench's thread grid (unset = no cap).
 // The CI smoke job sets it to 2 so each binary exercises one single- and

@@ -268,10 +268,9 @@ bool run(const Profile& profile, const wl::OpMix* mix_override, int batch,
   // LLXSCX_BENCH_MS overrides every phase duration; LLXSCX_BENCH_THREADS
   // caps the profile's thread count (bench_common.h conventions).
   Profile p = profile;
-  if (const char* env = std::getenv("LLXSCX_BENCH_MS")) {
-    const int ms = std::max(1, std::atoi(env));
-    p.grow_ms = p.steady_ms = p.churn_ms = ms;
-  }
+  p.grow_ms = env_phase_millis(p.grow_ms);
+  p.steady_ms = env_phase_millis(p.steady_ms);
+  p.churn_ms = env_phase_millis(p.churn_ms);
   const int threads = std::min(p.threads, bench::thread_cap());
 
   std::vector<Combo> combos = combos_for(p);

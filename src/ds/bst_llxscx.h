@@ -31,11 +31,13 @@
 // child field (value-ABA door), so s is finalized and s′ takes its place.
 //
 // The search/update/retry scaffolding lives in ds/tree_template.h (the
-// tree-update template, DESIGN.md §11): this class supplies only the
-// routing predicates, the one insert builder (build_group; for one key it
-// is the insert shape above) and the erase copy. The template emits
-// byte-identical shared-step sequences to the previous hand-rolled
-// loops — the pinned CAS/write/alloc shapes in test_bst are the proof.
+// tree-update template, DESIGN.md §11), and so does the external-BST key
+// order this tree shares with the chromatic tree (routing, pruning and
+// interval hooks, the kInf1 sentinel filter): this class supplies only
+// the one insert builder (build_group; for one key it is the insert shape
+// above) and the erase copy. The template emits byte-identical
+// shared-step sequences to the previous hand-rolled loops — the pinned
+// CAS/write/alloc shapes in test_bst are the proof.
 #pragma once
 
 #include <cstdint>
@@ -92,44 +94,11 @@ class BasicLlxScxBst
   BasicLlxScxBst& operator=(const BasicLlxScxBst&) = delete;
 
  private:
-  static bool is_leaf(const Node* n) { return n->leaf; }
-  static std::uint64_t key_of(const Node* n) { return n->key; }
-  static std::uint64_t value_of(const Node* n) { return n->value; }
-  static std::size_t dir_of(const Node* n, std::uint64_t key) {
-    return key < n->key ? Node::kLeft : Node::kRight;
-  }
-  // The root sentinel routes by key like any interior node.
-  std::size_t root_dir(std::uint64_t key) const { return dir_of(&root_, key); }
-  // Insert's walk ends at the leaf.
-  static bool can_descend(const Node* n, std::uint64_t /*key*/) {
-    return !n->leaf;
-  }
-  bool is_user_leaf(const Node* n) const { return n->key < kInf1; }
-
   // delete(k): fresh sibling copy (children taken from the LLX snapshot).
   Fresh<Node> copy_for_erase(Op& op, Node* /*p*/, Node* s, const Snapshot& ls) {
     return s->leaf ? op.freshly(s->key, s->value)
                    : op.freshly(s->key, Base::to_node(ls.field(Node::kLeft)),
                                 Base::to_node(ls.field(Node::kRight)));
-  }
-
-  // range() pruning: may the dir subtree of interior n intersect [lo, hi]?
-  // Immutable routing key only (left subtree < n->key ≤ right subtree), so
-  // a pruning decision costs no shared reads.
-  static bool scan_dir(const Node* n, std::size_t dir, std::uint64_t lo,
-                       std::uint64_t hi) {
-    return dir == Node::kLeft ? lo < n->key : hi >= n->key;
-  }
-
-  // insert_all() interval tracking: narrow [lo, hi] to the keys routed
-  // into n's dir subtree.
-  static void clamp_interval(const Node* n, std::size_t dir, std::uint64_t& lo,
-                             std::uint64_t& hi) {
-    if (dir == Node::kLeft) {
-      if (n->key > 0 && n->key - 1 < hi) hi = n->key - 1;
-    } else {
-      if (n->key > lo) lo = n->key;
-    }
   }
 
   // insert_all() group bound: 2·G+1 fresh nodes per group must fit the

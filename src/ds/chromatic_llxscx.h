@@ -120,7 +120,7 @@ class BasicLlxScxChromatic
   // of the first broken invariant, or nullopt when all hold — which is
   // what certifies the red-black height bound.
   std::optional<std::string> consistency_error() const {
-    const Node* r = Base::plain_child(&root_, Node::kLeft);
+    const Node* r = Base::read_child(&root_, Node::kLeft);
     struct Item {
       const Node* n;
       const Node* parent;
@@ -158,8 +158,8 @@ class BasicLlxScxChromatic
         }
         continue;
       }
-      const Node* l = Base::plain_child(n, Node::kLeft);
-      const Node* r2 = Base::plain_child(n, Node::kRight);
+      const Node* l = Base::read_child(n, Node::kLeft);
+      const Node* r2 = Base::read_child(n, Node::kRight);
       stack.push_back({r2, n, pw + (r2 ? r2->weight : 0)});
       stack.push_back({l, n, pw + (l ? l->weight : 0)});
     }
@@ -167,18 +167,6 @@ class BasicLlxScxChromatic
   }
 
  private:
-  static bool is_leaf(const Node* n) { return n->leaf; }
-  static std::uint64_t key_of(const Node* n) { return n->key; }
-  static std::uint64_t value_of(const Node* n) { return n->value; }
-  static std::size_t dir_of(const Node* n, std::uint64_t key) {
-    return key < n->key ? Node::kLeft : Node::kRight;
-  }
-  std::size_t root_dir(std::uint64_t key) const { return dir_of(&root_, key); }
-  static bool can_descend(const Node* n, std::uint64_t /*key*/) {
-    return !n->leaf;
-  }
-  bool is_user_leaf(const Node* n) const { return n->key < kInf1; }
-
   // delete(k): the sibling copy absorbs the unlinked parent's weight —
   // w(s′) = w(p) + w(s) keeps every surviving path sum unchanged.
   Fresh<Node> copy_for_erase(Op& op, Node* p, Node* s, const Snapshot& ls) {
@@ -195,21 +183,6 @@ class BasicLlxScxChromatic
   // read here are immutable.
   void after_erase(std::uint64_t key, Node* scopy) {
     if (scopy->weight >= 2) cleanup(key);
-  }
-
-  // range() pruning / insert_all() interval tracking: identical key
-  // routing to the BST (left subtree < n->key ≤ right subtree).
-  static bool scan_dir(const Node* n, std::size_t dir, std::uint64_t lo,
-                       std::uint64_t hi) {
-    return dir == Node::kLeft ? lo < n->key : hi >= n->key;
-  }
-  static void clamp_interval(const Node* n, std::size_t dir, std::uint64_t& lo,
-                             std::uint64_t& hi) {
-    if (dir == Node::kLeft) {
-      if (n->key > 0 && n->key - 1 < hi) hi = n->key - 1;
-    } else {
-      if (n->key > lo) lo = n->key;
-    }
   }
 
   // insert_all() group bound, chosen for the ≤-1-violation-per-group
@@ -279,14 +252,14 @@ class BasicLlxScxChromatic
   // path, so the loop exits with the creating update's violation gone.
   // Failed LLX/SCX attempts (a concurrent update or a racing fixer got
   // there first) simply re-walk — lock-free like every other loop here.
+  // Runs under the guard of its only callers, insert_all() and erase().
   void cleanup(std::uint64_t key) {
-    Epoch::Guard g;
     for (;;) {
       Node* ggp = nullptr;
       Node* gp = nullptr;
       Node* p = &root_;
       std::size_t ggdir = 0, gdir = 0;
-      std::size_t pdir = dir_of(p, key);
+      std::size_t pdir = Base::dir_of(p, key);
       Node* n = Base::read_child(p, pdir);
       for (;;) {
         const bool overweight = n->weight >= 2;
@@ -306,7 +279,7 @@ class BasicLlxScxChromatic
         gp = p;
         gdir = pdir;
         p = n;
-        pdir = dir_of(p, key);
+        pdir = Base::dir_of(p, key);
         n = Base::read_child(p, pdir);
       }
     }

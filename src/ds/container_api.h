@@ -103,12 +103,14 @@ void container_multi_get(const C& c, const std::uint64_t* keys, std::size_t n,
 //                          return how many keys were newly inserted (the
 //                          trees amortize one SCX per leaf group; sorted
 //                          runs are what group)
-//   items()              — full ⟨key, value⟩ snapshot, quiescent only
+//   items()              — full ⟨key, value⟩ list, exact when quiescent
 // The fallbacks below keep the verbs total over the whole engine matrix:
 // containers without a native range answer from items() (sorted + filtered
-// — quiescent-exact, like items() itself), and insert_all degrades to the
-// scalar insert loop. So every engine keeps one calling convention and the
-// conformance suite drives range/scan/bulk on all of them.
+// — quiescent-exact, like items() itself; the scans run concurrently with
+// updates, so such an items() holds its own guard, as the stack's and the
+// queue's do), and insert_all degrades to the scalar insert loop. So
+// every engine keeps one calling convention and the conformance suite
+// drives range/scan/bulk on all of them.
 
 using RangeOut = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 

@@ -33,10 +33,11 @@
 // field; the removed leaf l is retired unfinalized exactly as in the BST.
 //
 // The search/update/retry scaffolding lives in ds/tree_template.h (the
-// tree-update template, DESIGN.md §11); this class supplies routing by
-// bit, the prefix-mismatch walk predicate, the one insert builder
-// (build_group; for one key it is the split shape above) and the erase
-// copy. Shared-step sequences are byte-identical to the previous
+// tree-update template, DESIGN.md §11); this class hides the template's
+// key-order hooks with routing by bit, the prefix-mismatch walk
+// predicate and prefix-interval pruning, and supplies the one insert
+// builder (build_group; for one key it is the split shape above) and the
+// erase copy. Shared-step sequences are byte-identical to the previous
 // hand-rolled loops (pinned in test_patricia).
 #pragma once
 
@@ -100,9 +101,9 @@ class BasicLlxScxPatricia
   BasicLlxScxPatricia& operator=(const BasicLlxScxPatricia&) = delete;
 
  private:
-  static bool is_leaf(const Node* n) { return n->leaf; }
+  // Bit routing hides the template's external-BST key order (is_leaf and
+  // value_of are the template's: same `leaf` and `value` fields).
   static std::uint64_t key_of(const Node* n) { return n->key(); }
-  static std::uint64_t value_of(const Node* n) { return n->value; }
   static std::size_t dir_of(const Node* n, std::uint64_t key) {
     return (key >> n->bit) & 1 ? Node::kRight : Node::kLeft;
   }
@@ -116,7 +117,7 @@ class BasicLlxScxPatricia
   static bool can_descend(const Node* n, std::uint64_t key) {
     return !n->leaf && matches_prefix(n, key);
   }
-  bool is_user_leaf(const Node* n) const { return n->key() != kSentinelKey; }
+  static bool is_user_leaf(const Node* n) { return n->key() != kSentinelKey; }
 
   // Does `key` agree with branch n on every bit above n->bit?
   static bool matches_prefix(const Node* n, std::uint64_t key) {

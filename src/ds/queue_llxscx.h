@@ -222,8 +222,11 @@ class BasicLlxScxQueue {
     return n;
   }
 
-  // Front-to-back ⟨key, value⟩ snapshot. Quiescent callers only (tests).
+  // Front-to-back ⟨key, value⟩ list, the scan verbs' fallback
+  // (container_api.h). Guarded like contains() and size(), so safe under
+  // concurrent enqueue/dequeue; exact only when quiescent.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> items() const {
+    Epoch::Guard g;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
     for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
       out.emplace_back(cur->key, cur->value);

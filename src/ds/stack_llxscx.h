@@ -141,8 +141,11 @@ class BasicLlxScxStack {
     return n;
   }
 
-  // Top-to-bottom ⟨key, value⟩ snapshot. Quiescent callers only (tests).
+  // Top-to-bottom ⟨key, value⟩ list, the scan verbs' fallback
+  // (container_api.h). Guarded like contains() and size(), so safe under
+  // concurrent push/pop; exact only when quiescent.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> items() const {
+    Epoch::Guard g;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
     for (const Node* cur = next_of(&head_); !cur->bottom; cur = next_of(cur)) {
       out.emplace_back(cur->key, cur->value);

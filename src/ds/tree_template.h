@@ -9,12 +9,15 @@
 // and everything EXCEPT the structure-specific pieces of that sentence —
 // the retry loop, the plain-read walk with grandparent tracking, the
 // LLX-pin-and-revalidate step, sentinel handling at the root, the ScxOp
-// assembly, commit-time retirement, and the RecordManager plumbing — is
-// identical across the external BST, the Patricia trie, and the
-// chromatic tree. This header writes it once.
+// assembly, commit-time retirement, the whole-tree walk and the
+// RecordManager plumbing — is identical across the external BST, the
+// Patricia trie, and the chromatic tree. This header writes it once.
 //
-// TreeTemplate<Derived, Node, Reclaim> is a CRTP base. The Derived
-// structure supplies only the irreducible design work of DESIGN.md §8:
+// TreeTemplate<Derived, Node, Reclaim> is a CRTP base. The routing hooks
+// have defaults here: the external-BST key order (a node with `leaf`,
+// `key` and `value` fields; left iff key < n->key; user keys below
+// Derived::kInf1), which the BST and the chromatic tree inherit. The
+// Patricia trie hides the key-order ones with its bit-routed versions.
 //
 //   static is_leaf(n)            leaf/interior discrimination
 //   static key_of(n), value_of(n)  immutable payload access
@@ -31,6 +34,11 @@
 //   static clamp_interval(n, dir, lo, hi)
 //                                narrows [lo, hi] to the keys routed into
 //                                n's dir subtree (insert_all's grouping)
+//   static scan_dir(n, dir, lo, hi)  range()'s subtree pruning
+//   static is_user_leaf(n)       sentinel filter for the whole-tree reads
+//
+// and every Derived supplies the irreducible design work of DESIGN.md §8:
+//
 //   kGroupCap, group_cap(p, t)   the most keys one insert SCX installs
 //   build_group(op, t, lt, ks, m, v)
 //                                the fresh replacement subtree for an
@@ -39,8 +47,6 @@
 //                                scalar insert shape
 //   copy_for_erase(op, p, s, ls)   the fresh sibling copy an erase
 //                                installs (chromatic: carries w(p)+w(s))
-//   static scan_dir(n, dir, lo, hi)  range()'s subtree pruning
-//   is_user_leaf(n)              sentinel filter for items()/depth_stats()
 //   after_insert_all(ks, m, repl, p) / after_erase(k, scopy)
 //                                post-commit hooks (no-ops here; the
 //                                chromatic tree hangs its violation
@@ -55,6 +61,9 @@
 // test_bst/test_patricia pass unchanged (the zero-overhead proof, as in
 // the PR 3 ScxOp port). The hooks are header-visible and the after_*
 // defaults are empty, so the compiler erases the indirection.
+//
+// size(), items(), depth_stats() and the destructor's destroy_all() ride
+// one private walker (walk()); get() is the one point read.
 #pragma once
 
 #include <cstdint>
@@ -92,37 +101,6 @@ class TreeTemplate {
     while (!Derived::is_leaf(n)) n = read_child(n, Derived::dir_of(n, key));
     if (Derived::key_of(n) == key) return Derived::value_of(n);
     return std::nullopt;
-  }
-
-  // Validated read (claim C-C): pins ⟨parent, leaf⟩ with LLX, re-derives
-  // the leaf from the parent's snapshot, and VLX-validates both through
-  // the builder before answering — so the leaf provably still hung off
-  // that parent at the validation point. Costs k shared reads on top of
-  // the walk, no CAS, no allocation; get() (plain reads, Proposition 2)
-  // is the fast path, this is the belt-and-braces one.
-  std::optional<std::uint64_t> get_validated(std::uint64_t key) const {
-    Epoch::Guard g;
-    for (;;) {
-      const Node* p = self().root_ptr();
-      std::size_t dir = self().root_dir(key);
-      for (const Node* n = read_child(p, dir); !Derived::is_leaf(n);) {
-        p = n;
-        dir = Derived::dir_of(p, key);
-        n = read_child(p, dir);
-      }
-      auto lp = llx(p);
-      if (!lp.ok()) continue;
-      Node* l = to_node(lp.field(dir));
-      if (!Derived::is_leaf(l)) continue;  // tree grew below p since the walk
-      auto ll = llx(l);
-      if (!ll.ok()) continue;
-      Op op;
-      op.link(lp);
-      op.link(ll);
-      if (!op.validate()) continue;
-      if (Derived::key_of(l) == key) return Derived::value_of(l);
-      return std::nullopt;
-    }
   }
 
   // Membership by key: the same plain-read walk as get() (Proposition 2 —
@@ -199,9 +177,9 @@ class TreeTemplate {
   // the whole [witness, VLX] window; witnesses are captured parent-before-
   // child, so the windows chain from the root and the collected leaves
   // form a snapshot that was the tree's [lo, hi] contents at the VLX
-  // point. Conflicts restart a bounded re-walk of the pruned subtree
-  // (like get_validated's retry), after helping the conflicting SCX —
-  // so a failed attempt pushes the system forward.
+  // point. Conflicts restart a bounded re-walk of the pruned subtree,
+  // after helping the conflicting SCX — so a failed attempt pushes the
+  // system forward.
   //
   // Per attempt: 0 LLX, 0 CAS, 0 shared writes, 0 record allocations;
   // shared reads = one per descended edge + three per interior node
@@ -338,33 +316,19 @@ class TreeTemplate {
     return inserted;
   }
 
-  // User-leaf count by traversal (container contract: exact when
-  // quiescent, a snapshot of one serialization under concurrency).
-  // Unlike items()/depth_stats() this walk uses the instrumented acquire
-  // child loads, so it is memory-safe under concurrent updates. It holds
-  // ONE guard across the walk: a tree has no stable spine to re-enter a
-  // guard per segment (the hash map's bucket array does, see its
-  // occupancy()), so treat size() as an occasional probe — a walk over
-  // millions of nodes pins this domain's epoch for its duration.
+  // User-leaf count by the one whole-tree walk (container contract:
+  // exact when quiescent, a snapshot of one serialization under
+  // concurrency). size(), items() and depth_stats() read through the
+  // instrumented acquire child loads, so they are memory-safe under
+  // concurrent updates. Each holds ONE guard across the walk: a tree has
+  // no stable spine to re-enter a guard per segment (the hash map's
+  // bucket array does, see its occupancy()), so treat them as occasional
+  // probes — a walk over millions of nodes pins this domain's epoch for
+  // its duration.
   std::size_t size() const {
     Epoch::Guard g;
     std::size_t count = 0;
-    std::vector<const Node*> stack;
-    const Node* r = self().root_ptr();
-    for (std::size_t c = 0; c < Node::kNumMut; ++c) {
-      if (const Node* n = read_child(r, c)) stack.push_back(n);
-    }
-    while (!stack.empty()) {
-      const Node* n = stack.back();
-      stack.pop_back();
-      if (Derived::is_leaf(n)) {
-        if (self().is_user_leaf(n)) ++count;
-        continue;
-      }
-      for (std::size_t c = 0; c < Node::kNumMut; ++c) {
-        if (const Node* child = read_child(n, c)) stack.push_back(child);
-      }
-    }
+    walk([&](const Node* n, std::size_t) { count += user_leaf(n); });
     return count;
   }
 
@@ -427,50 +391,30 @@ class TreeTemplate {
     }
   }
 
-  // Ordered ⟨key, value⟩ snapshot of user keys (in-order). Quiescent
-  // callers only.
+  // Ordered ⟨key, value⟩ list of user keys (the walk meets leaves in
+  // key order). Exact when quiescent; range() is the linearizable scan.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> items() const {
+    Epoch::Guard g;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-    // Explicit traversal: a degenerate tree would blow the stack.
-    std::vector<const Node*> path;
-    const Node* n = plain_child(self().root_ptr(), 0);
-    while (n != nullptr || !path.empty()) {
-      while (n != nullptr) {
-        path.push_back(n);
-        n = Derived::is_leaf(n) ? nullptr : plain_child(n, 0);
+    walk([&](const Node* n, std::size_t) {
+      if (user_leaf(n)) {
+        out.emplace_back(Derived::key_of(n), Derived::value_of(n));
       }
-      const Node* top = path.back();
-      path.pop_back();
-      if (Derived::is_leaf(top) && self().is_user_leaf(top)) {
-        out.emplace_back(Derived::key_of(top), Derived::value_of(top));
-      }
-      n = Derived::is_leaf(top) ? nullptr : plain_child(top, 1);
-    }
+    });
     return out;
   }
 
-  // Depth profile over user leaves. Quiescent callers only.
+  // Depth profile over user leaves. Exact when quiescent.
   TreeDepthStats depth_stats() const {
+    Epoch::Guard g;
     TreeDepthStats st;
     std::uint64_t depth_sum = 0;
-    std::vector<std::pair<const Node*, std::size_t>> stack;
-    const Node* r = self().root_ptr();
-    for (std::size_t c = 0; c < Node::kNumMut; ++c) {
-      if (const Node* n = plain_child(r, c)) stack.emplace_back(n, 1);
-    }
-    while (!stack.empty()) {
-      auto [n, depth] = stack.back();
-      stack.pop_back();
-      if (Derived::is_leaf(n)) {
-        if (!self().is_user_leaf(n)) continue;
-        ++st.user_leaves;
-        depth_sum += depth;
-        if (depth > st.max_depth) st.max_depth = depth;
-        continue;
-      }
-      stack.emplace_back(plain_child(n, 0), depth + 1);
-      stack.emplace_back(plain_child(n, 1), depth + 1);
-    }
+    walk([&](const Node* n, std::size_t depth) {
+      if (!user_leaf(n)) return;
+      ++st.user_leaves;
+      depth_sum += depth;
+      if (depth > st.max_depth) st.max_depth = depth;
+    });
     if (st.user_leaves > 0) {
       st.avg_depth =
           static_cast<double>(depth_sum) / static_cast<double>(st.user_leaves);
@@ -479,6 +423,43 @@ class TreeTemplate {
   }
 
  protected:
+  // The external-BST key order (DESIGN.md §11): internal nodes route left
+  // iff key < n->key, so a left subtree holds keys < n->key ≤ the right
+  // subtree's, and the keys kInf1 < kInf2 above every user key are the
+  // sentinels. The BST and the chromatic tree inherit these; Patricia
+  // hides the key-order ones with its bit routing. Every hook reads only
+  // immutable fields, so routing and pruning cost no shared reads.
+  static bool is_leaf(const Node* n) { return n->leaf; }
+  static std::uint64_t key_of(const Node* n) { return n->key; }
+  static std::uint64_t value_of(const Node* n) { return n->value; }
+  static std::size_t dir_of(const Node* n, std::uint64_t key) {
+    return key < n->key ? Node::kLeft : Node::kRight;
+  }
+  // The root sentinel routes by key like any interior node.
+  std::size_t root_dir(std::uint64_t key) const {
+    return Derived::dir_of(self().root_ptr(), key);
+  }
+  // Insert's walk ends at the leaf.
+  static bool can_descend(const Node* n, std::uint64_t /*key*/) {
+    return !n->leaf;
+  }
+  static bool is_user_leaf(const Node* n) { return n->key < Derived::kInf1; }
+  // range() pruning: may the dir subtree of interior n intersect [lo, hi]?
+  static bool scan_dir(const Node* n, std::size_t dir, std::uint64_t lo,
+                       std::uint64_t hi) {
+    return dir == Node::kLeft ? lo < n->key : hi >= n->key;
+  }
+  // insert_all() interval tracking: narrow [lo, hi] to the keys routed
+  // into n's dir subtree.
+  static void clamp_interval(const Node* n, std::size_t dir, std::uint64_t& lo,
+                             std::uint64_t& hi) {
+    if (dir == Node::kLeft) {
+      if (n->key > 0 && n->key - 1 < hi) hi = n->key - 1;
+    } else {
+      if (n->key > lo) lo = n->key;
+    }
+  }
+
   // Hook defaults: structures without post-commit work (BST, Patricia)
   // inherit these and pay nothing. after_insert_all runs once per
   // committed insert group (keys: the group's new keys, ascending; repl:
@@ -517,24 +498,9 @@ class TreeTemplate {
   }
 
   // Quiescent teardown for the Derived destructor (retired-but-undrained
-  // nodes are the policy's). Iterative: a degenerate tree would blow the
-  // stack recursively. Skips null children so Patricia's unused root
-  // slot needs no special case.
+  // nodes are the policy's).
   void destroy_all() {
-    std::vector<Node*> stack;
-    Node* r = self().root_ptr();
-    for (std::size_t c = 0; c < Node::kNumMut; ++c) {
-      if (Node* n = plain_child(r, c)) stack.push_back(n);
-    }
-    while (!stack.empty()) {
-      Node* n = stack.back();
-      stack.pop_back();
-      if (!Derived::is_leaf(n)) {
-        stack.push_back(plain_child(n, 0));
-        stack.push_back(plain_child(n, 1));
-      }
-      Reclaim::dealloc(n);
-    }
+    walk([](Node* n, std::size_t) { Reclaim::dealloc(n); });
   }
 
   static Node* to_node(std::uint64_t w) { return reinterpret_cast<Node*>(w); }
@@ -544,12 +510,35 @@ class TreeTemplate {
     // node's immutable fields are visible before its address is reachable.
     return to_node(n->mut(dir).load(mo::acquire));
   }
-  // Uninstrumented child load for quiescent teardown/snapshots.
-  static Node* plain_child(const Node* n, std::size_t dir) {
-    return to_node(n->mut(dir).load(std::memory_order_relaxed));
-  }
 
  private:
+  // The one whole-tree walk, under size(), items(), depth_stats() and
+  // destroy_all(): iterative depth-first (a degenerate tree would blow a
+  // recursive walk's stack), left child first, so leaves come in key
+  // order. visit(n, depth) runs only after n's children have been read,
+  // so it may free n; depth counts edges below the root sentinel. Null
+  // children are skipped, so Patricia's unused root slot needs no case.
+  template <class Visit>
+  void walk(Visit visit) const {
+    std::vector<std::pair<Node*, std::size_t>> stack;
+    const auto push_children = [&](const Node* n, std::size_t depth) {
+      for (std::size_t c = Node::kNumMut; c-- > 0;) {
+        if (Node* child = read_child(n, c)) stack.emplace_back(child, depth);
+      }
+    };
+    push_children(self().root_ptr(), 1);
+    while (!stack.empty()) {
+      const auto [n, depth] = stack.back();
+      stack.pop_back();
+      if (!Derived::is_leaf(n)) push_children(n, depth + 1);
+      visit(n, depth);
+    }
+  }
+
+  bool user_leaf(const Node* n) const {
+    return Derived::is_leaf(n) && self().is_user_leaf(n);
+  }
+
   // range()'s per-thread witness set and DFS stack.
   struct ScanBuffers {
     std::vector<LinkedLlx> w;

@@ -29,8 +29,6 @@
 //     records the commit freezes but leaves reachable (the hash map's
 //     bucket seal) — their exactly-once retirement transfers to the
 //     caller.
-//   - validate() runs VLX over the accumulated V-set for read-only
-//     position checks (claim C-C) without building an SCX.
 //
 // Misuse reporting: every rule above that cannot be a compile error is a
 // cheap thread-local check (pointer compares on builder-local state — no
@@ -129,8 +127,8 @@ class ScxOp {
 
   ScxOp() = default;
   ~ScxOp() {
-    // An op dropped without commit() (a later LLX failed, or validate-only
-    // use) aborts: nothing was published, so the fresh nodes die with it.
+    // An op dropped without commit() (a later LLX failed) aborts: nothing
+    // was published, so the fresh nodes die with it.
     if (!done_) delete_fresh();
   }
   ScxOp(const ScxOp&) = delete;
@@ -213,11 +211,6 @@ class ScxOp {
     if (si == kNpos) return misuse(kScxOpSourceNotInV);
     write_word(owner, field, snap_[si][src_field]);
   }
-
-  // VLX over the accumulated V-set (claim C-C: k shared reads): true iff
-  // every linked record is still unchanged since its snapshot. Read-only —
-  // usable without (or before) a write.
-  bool validate() const { return !poisoned_ && k_ > 0 && vlx(v_, k_); }
 
   bool poisoned() const { return poisoned_; }
 

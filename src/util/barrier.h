@@ -1,13 +1,15 @@
 // Sense-reversing spin barrier, and the one timed-phase runner built on it
 // (DESIGN.md §3) that every bench, the workload driver and the test
-// stresses share. Spinning (rather than a condvar) keeps the start-line
-// release jitter well under the microsecond scale the timed phases care
-// about.
+// stresses share, with the one reader of their phase-length knob. Spinning
+// (rather than a condvar) keeps the start-line release jitter well under
+// the microsecond scale the timed phases care about.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -40,6 +42,16 @@ class SpinBarrier {
   std::atomic<int> arrived_{0};
   std::atomic<std::uint64_t> sense_{0};
 };
+
+// A timed phase's length in ms: LLXSCX_BENCH_MS when set (at least 1),
+// else `default_ms`. The benches (200 ms), bench_workload's phases (each
+// profile's own) and the test stresses (2 s) all read it here.
+inline int env_phase_millis(int default_ms) {
+  if (const char* env = std::getenv("LLXSCX_BENCH_MS")) {
+    return std::max(1, std::atoi(env));
+  }
+  return default_ms;
+}
 
 // Runs one timed phase on `threads` workers and returns its length in
 // seconds. Worker t first calls setup(t) — untimed, on its own thread —

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "ds/bst_llxscx.h"
@@ -136,6 +137,7 @@ TEST(BstStress, MatchesLockedOracleUnderContention) {
       kThreads, 2000,
       [&](int, Xoshiro256& rng, const std::atomic<bool>& stop) {
         testing::KeyedOracle::Recorder rec(oracle);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> w;
         std::uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           const std::uint64_t key =
@@ -153,10 +155,14 @@ TEST(BstStress, MatchesLockedOracleUnderContention) {
               EXPECT_EQ(*v, key * 10);
             }
           } else {
-            // The VLX-validated read must agree with the same invariant.
-            const auto v = t.get_validated(key);
-            if (v.has_value()) {
-              EXPECT_EQ(*v, key * 10);
+            // A one-key VLX-validated range must agree with the same
+            // invariant: a validated reader running under contention.
+            w.clear();
+            t.range(key, key, w);
+            EXPECT_LE(w.size(), 1u);
+            for (const auto& [k, v] : w) {
+              EXPECT_EQ(k, key);
+              EXPECT_EQ(v, key * 10);
             }
           }
           ++ops;

@@ -11,11 +11,14 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "ds/bst_llxscx.h"
 #include "ds/chromatic_llxscx.h"
+#include "ds/patricia_llxscx.h"
 #include "util/random.h"
 
 #include "tests/test_common.h"
@@ -106,6 +109,84 @@ TEST(Chromatic, SequentialInsertDepthIsLogarithmic) {
   Epoch::drain_all_for_testing();
 }
 
+// The one whole-tree walk, pinned exactly on every tree: two
+// deterministic single-threaded trees — ascending 1..4096 with every third
+// key erased, and a fixed Xoshiro draw (4096 inserts of keys below 2^20,
+// then the first 1024 draws erased) — must report the oracle's user-leaf
+// count and ascending ⟨key, value⟩ list, and the exact depth profile each
+// engine reported before size(), items(), depth_stats() and teardown
+// shared one walker (avg_depth = depth_sum / user_leaves).
+struct WalkPin {
+  std::size_t user_leaves;
+  std::size_t max_depth;
+  std::uint64_t depth_sum;
+};
+
+template <class Tree>
+void expect_walk_pinned(const Tree& t,
+                        const std::map<std::uint64_t, std::uint64_t>& oracle,
+                        const WalkPin& pin) {
+  EXPECT_EQ(t.size(), pin.user_leaves) << Tree::kName;
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> want(
+      oracle.begin(), oracle.end());
+  EXPECT_EQ(t.items(), want) << Tree::kName;
+  const TreeDepthStats d = t.depth_stats();
+  EXPECT_EQ(d.user_leaves, pin.user_leaves) << Tree::kName;
+  EXPECT_EQ(d.max_depth, pin.max_depth) << Tree::kName;
+  EXPECT_DOUBLE_EQ(d.avg_depth, static_cast<double>(pin.depth_sum) /
+                                    static_cast<double>(pin.user_leaves))
+      << Tree::kName << ": depth sum "
+      << d.avg_depth * static_cast<double>(d.user_leaves);
+}
+
+template <class Tree>
+void expect_walks_pinned(const WalkPin& ascending, const WalkPin& drawn) {
+  {
+    Tree t;
+    std::map<std::uint64_t, std::uint64_t> oracle;
+    for (std::uint64_t k = 1; k <= 4096; ++k) {
+      ASSERT_TRUE(t.insert(k, 5 * k + 1));
+      oracle.emplace(k, 5 * k + 1);
+    }
+    for (std::uint64_t k = 3; k <= 4096; k += 3) {
+      ASSERT_TRUE(t.erase(k));
+      oracle.erase(k);
+    }
+    expect_walk_pinned(t, oracle, ascending);
+  }
+  {
+    Tree t;
+    std::map<std::uint64_t, std::uint64_t> oracle;
+    Xoshiro256 rng(20130722);
+    std::vector<std::uint64_t> keys(4096);
+    for (std::uint64_t& k : keys) {
+      k = 1 + rng.below(std::uint64_t{1} << 20);
+      t.insert(k, 5 * k + 1);
+      oracle.emplace(k, 5 * k + 1);
+    }
+    for (std::size_t i = 0; i < 1024; ++i) {
+      t.erase(keys[i]);
+      oracle.erase(keys[i]);
+    }
+    expect_walk_pinned(t, oracle, drawn);
+  }
+  Epoch::drain_all_for_testing();
+}
+
+TEST(TreeWalk, BstPinned) {
+  expect_walks_pinned<LlxScxBst>({2731, 2732, 3736007}, {3065, 31, 57903});
+}
+
+TEST(TreeWalk, PatriciaPinned) {
+  expect_walks_pinned<LlxScxPatricia>({2731, 15, 39587},
+                                      {3065, 18, 42654});
+}
+
+TEST(TreeWalk, ChromaticPinned) {
+  expect_walks_pinned<LlxScxChromatic>({2731, 13, 34139},
+                                       {3065, 15, 39554});
+}
+
 // Deterministic rebalancing cost, uncontended. The first insert creates
 // no violation (the replacement internal is red under the black root
 // sentinel) and costs exactly the BST's pinned insert shape; the second
@@ -149,6 +230,7 @@ TEST(ChromaticStress, MatchesLockedOracleUnderContention) {
       kThreads, 3000,
       [&](int, Xoshiro256& rng, const std::atomic<bool>& stop) {
         testing::KeyedOracle::Recorder rec(oracle);
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> w;
         std::uint64_t ops = 0;
         while (!stop.load(std::memory_order_relaxed)) {
           const std::uint64_t key =
@@ -164,9 +246,14 @@ TEST(ChromaticStress, MatchesLockedOracleUnderContention) {
               EXPECT_EQ(*v, key * 10);
             }
           } else {
-            const auto v = t.get_validated(key);
-            if (v.has_value()) {
-              EXPECT_EQ(*v, key * 10);
+            // A one-key VLX-validated range must agree with the same
+            // invariant: a validated reader running under contention.
+            w.clear();
+            t.range(key, key, w);
+            EXPECT_LE(w.size(), 1u);
+            for (const auto& [k, v] : w) {
+              EXPECT_EQ(k, key);
+              EXPECT_EQ(v, key * 10);
             }
           }
           ++ops;

@@ -5,10 +5,8 @@
 // verification.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -52,12 +50,7 @@ class ScopedExpectedLeak {
 
 // Stress-phase duration: follows LLXSCX_BENCH_MS (like the bench harness)
 // so the sanitizer CI jobs can downscale, defaulting to 2 s.
-inline int stress_millis() {
-  if (const char* env = std::getenv("LLXSCX_BENCH_MS")) {
-    return std::max(1, std::atoi(env));
-  }
-  return 2000;
-}
+inline int stress_millis() { return env_phase_millis(2000); }
 
 // Runs `threads` workers through run_timed_phase (util/barrier.h) for
 // stress_millis(). worker(thread_index, rng, stop) returns its completed-op

@@ -126,6 +126,59 @@ TEST(StackStress, ConservesValuesUnderContention) {
       << "all retired nodes/descriptors must drain once threads quiesce";
 }
 
+// --- Bare stack/queue scans -----------------------------------------------
+
+// container_range, container_scan and container_scan_n answer the bare
+// stack and queue from items(), which must walk under a reclamation guard:
+// two push/pop threads retire nodes while a scan loop walks the chain, and
+// an unguarded walk reads blocks EbrManager has already recycled (which
+// ASan reports). Every reported element must be live (value == key), and
+// the epoch must drain to zero afterwards.
+template <class C>
+class SequenceScan : public ::testing::Test {};
+using Sequences = ::testing::Types<LlxScxStack, LlxScxQueue>;
+TYPED_TEST_SUITE(SequenceScan, Sequences);
+
+TYPED_TEST(SequenceScan, ScansUnderPushPopChurnSeeOnlyLiveElements) {
+  std::atomic<std::uint64_t> scans{0}, torn{0};
+  {
+    TypeParam c;
+    testing::run_stress_workers(
+        3, 0x5CA7, [&](int t, Xoshiro256& rng, const std::atomic<bool>& stop) {
+          RangeOut got;
+          std::uint64_t ops = 0, bad = 0;
+          while (!stop.load(std::memory_order_relaxed)) {
+            ++ops;
+            if (t == 0) {  // the scan loop, through all three fallbacks
+              got.clear();
+              if (ops % 3 == 0) container_scan_n(c, 64, got);
+              if (ops % 3 == 1) container_range(c, 0, ~std::uint64_t{0}, got);
+              if (ops % 3 == 2) container_scan(c, 1, 1024, 64, got);
+              for (const auto& [k, v] : got) bad += v != k;
+              continue;
+            }
+            // Two pop-heavy updaters keep the chain short, so every scan
+            // walks the nodes they are retiring.
+            const std::uint64_t key = 1 + rng.below(std::uint64_t{1} << 16);
+            if (rng.percent(40)) {
+              c.insert(key, key);
+            } else {
+              c.erase(key);
+            }
+          }
+          if (t == 0) {
+            scans += ops;
+            torn += bad;
+          }
+          return ops;
+        });
+  }
+  EXPECT_GT(scans.load(), 0u);
+  EXPECT_EQ(torn.load(), 0u) << TypeParam::kName << ": torn scan element";
+  Epoch::drain_all_for_testing();
+  EXPECT_EQ(Epoch::outstanding(), 0u);
+}
+
 // --- Queue ----------------------------------------------------------------
 
 // FIFO payload order through dequeue(), plus the tail-sentinel

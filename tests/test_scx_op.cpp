@@ -1,15 +1,14 @@
-// The ScxOp builder (llxscx/scx_op.h): VLX through the API (validate-only
-// reads on the BST), the misuse diagnostics DESIGN.md §8 promises (stale
-// snapshot, reused `new` value, fld owner not in V, double/missing write),
-// and the abort path freeing fresh allocations (ASAN is the net for that
-// last one).
+// The ScxOp builder (llxscx/scx_op.h): commit, abort and drop semantics,
+// the misuse diagnostics DESIGN.md §8 promises (stale snapshot, reused
+// `new` value, fld owner not in V, double/missing write), and the abort
+// path freeing fresh allocations (ASAN is the net for that last one).
+// Raw VLX change detection is pinned in test_llx_scx.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "ds/bst_llxscx.h"
 #include "llxscx/llx_scx.h"
 #include "llxscx/scx_op.h"
 
@@ -93,24 +92,6 @@ TEST(ScxOp, DroppedWithoutCommitDeletesFreshNodes) {
     // verifies the fresh node dies with it.
   }
   EXPECT_EQ(a.mut(0).load(), 1u);
-}
-
-TEST(ScxOp, ValidateDetectsInterveningCommit) {
-  Epoch::Guard g;
-  Rec a(1, 0), b(2, 0);
-  auto la = llx(&a);
-  auto lb = llx(&b);
-  ASSERT_TRUE(la.ok());
-  ASSERT_TRUE(lb.ok());
-  ScxOp<Rec> op;
-  op.link(la);
-  op.link(lb);
-  EXPECT_TRUE(op.validate());
-
-  auto lb2 = llx(&b);
-  const LinkedLlx vb[1] = {lb2.link()};
-  ASSERT_TRUE(scx(vb, 1, 0, &b.mut(0), 2, 3));
-  EXPECT_FALSE(op.validate()) << "VLX must see b's change";
 }
 
 // --- The §8 misuse diagnostics --------------------------------------------
@@ -238,45 +219,6 @@ TEST(ScxOpMisuse, CapacityAndFieldRangeDiagnosed) {
   }
   EXPECT_EQ(a.mut(0).load(), 1u);
   EXPECT_EQ(a.mut(1).load(), 2u);
-}
-
-// --- VLX through the API: validate-only traversal on the BST --------------
-
-TEST(ScxOpVlx, ValidatedBstReadAgreesWithPlainGet) {
-  LlxScxBst t;
-  for (std::uint64_t k = 1; k <= 64; ++k) ASSERT_TRUE(t.insert(k, k * 3));
-  for (std::uint64_t k = 1; k <= 64; ++k) {
-    const auto v = t.get_validated(k);
-    ASSERT_TRUE(v.has_value()) << k;
-    EXPECT_EQ(*v, k * 3);
-    EXPECT_EQ(t.get(k), v);
-  }
-  EXPECT_FALSE(t.get_validated(0).has_value());
-  EXPECT_FALSE(t.get_validated(65).has_value());
-  for (std::uint64_t k = 2; k <= 64; k += 2) ASSERT_TRUE(t.erase(k));
-  for (std::uint64_t k = 1; k <= 64; ++k) {
-    EXPECT_EQ(t.get_validated(k).has_value(), k % 2 == 1) << k;
-  }
-  Epoch::drain_all_for_testing();
-}
-
-// A validated read is exactly 2 LLX + one VLX over them: no CAS, no
-// writes, no allocation — claim C-C's "k shared reads" in API form.
-TEST(ScxOpVlx, ValidatedReadIsReadOnly) {
-  if (!kStepCounting) GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
-  LlxScxBst t;
-  ASSERT_TRUE(t.insert(10, 100));
-  ASSERT_TRUE(t.insert(20, 200));
-  Stats::reset_mine();
-  EXPECT_EQ(t.get_validated(10), std::optional<std::uint64_t>(100));
-  const StepCounts d = Stats::my_snapshot();
-  EXPECT_EQ(d.llx_calls, 2u) << "parent + leaf";
-  EXPECT_EQ(d.llx_fail, 0u);
-  EXPECT_EQ(d.scx_calls, 0u);
-  EXPECT_EQ(d.cas, 0u) << "validate-only: VLX performs no CAS";
-  EXPECT_EQ(d.shared_writes, 0u);
-  EXPECT_EQ(d.allocations, 0u);
-  Epoch::drain_all_for_testing();
 }
 
 }  // namespace

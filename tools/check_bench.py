@@ -6,7 +6,8 @@ Checks the four files the CI bench-smoke job writes, all in one directory
 
   bench_reclaim.json        ebr and leaky rows: drain-to-zero, pool hits,
                             no frees under the leaky policy
-  bench_bst.json            every tree publishes seq-bulk and scan rows
+  bench_bst.json            every tree publishes seq-bulk and scan rows;
+                            insert streams report bounded tree depths
   bench_workload.json       consolidated schema, ycsb-e scans, both widths
   bench_workload_scan.json  the --engines filter and the forced ycsb-e mix
 
@@ -17,6 +18,7 @@ Run locally on the same smoke outputs (README.md, "Experiments"):
 Exits nonzero on the first failed assertion.
 """
 import json
+import math
 import os
 import sys
 
@@ -60,6 +62,20 @@ def check_bst(directory):
     for r in rows:
         if r['stream'] == 'scan':
             assert r['update_pct'] == 0, r
+    # The depth profile comes from the trees' one whole-tree walk
+    # (DESIGN.md §11): every insert stream must report a real profile, the
+    # chromatic tree must stay inside the red-black height bound
+    # test_chromatic asserts, and the trie inside its 64 key bits.
+    for r in rows:
+        if r['stream'] not in ('seq', 'seq-bulk'):
+            continue
+        assert 1 <= r['max_depth'], ('empty depth profile', r)
+        assert r['avg_depth'] <= r['max_depth'], r
+        if r['structure'] == 'chromatic':
+            bound = 2 * math.log2(r['key_range'] + 1) + 8
+            assert r['max_depth'] <= bound, ('chromatic depth bound', r)
+        if r['structure'] == 'patricia':
+            assert r['max_depth'] <= 64, ('patricia depth bound', r)
     print(f'bench_bst.json OK: {len(rows)} rows')
 
 
