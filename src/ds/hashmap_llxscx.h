@@ -1,21 +1,22 @@
 // Hash map on LLX/SCX (E9) with NON-BLOCKING RESIZE: a power-of-two array
-// of buckets, each a Fig. 6-style sorted singly linked list of immutable
-// ⟨key, value⟩ Data-records (head sentinel → items → tail sentinel), driven
-// through the ScxOp builder. Updates in distinct buckets have disjoint
-// V-sets, so by claim C-D they never interfere — and the same disjointness
-// is what makes the resize migration cooperative: every bucket migrates
-// independently, in parallel, through its own small SCXs.
+// of buckets, each a Fig. 6-style sorted chain of the list engine
+// (list_llxscx.h: head sentinel → items → tail sentinel). Updates in
+// distinct buckets have disjoint V-sets, so by claim C-D they never
+// interfere — and the same disjointness is what makes the resize
+// migration cooperative: every bucket migrates independently, in
+// parallel, through its own small SCXs.
 //
-// Shapes per bucket (identical to the multiset's, DESIGN.md §6/§9):
-//   upsert, key absent  — SCX(V=⟨pred⟩,             R=∅,           pred.next ← n)        k=1
-//   upsert, key present — SCX(V=⟨pred, cur⟩,        R=⟨cur⟩,       pred.next ← n′)       k=2
-//   erase               — SCX(V=⟨pred, cur, succ⟩,  R=⟨cur, succ⟩, pred.next ← succ′)    k=3
+// Shapes per bucket — the engine's, as in the multiset (DESIGN.md §6/§9):
+//   upsert, key absent  — insert_before: SCX(V=⟨pred⟩,            R=∅)            k=1
+//   upsert, key present — replace:       SCX(V=⟨pred, cur⟩,       R=⟨cur⟩)        k=2
+//   erase               — remove:        SCX(V=⟨pred, cur, succ⟩, R=⟨cur, succ⟩)  k=3
 //
 // A node's value is immutable: upsert on an existing key REPLACES the
 // node (fresh copy with the new value, old one finalized + retired), the
 // same discipline that keeps every installed pointer fresh everywhere
 // else in this repo. get()/contains() traverse with plain reads
-// (Proposition 2).
+// (Proposition 2). Routing, backpressure and the migration's seal, copy
+// and finish SCXs are this file's own.
 //
 // ---- Resize (DESIGN.md §9, "bucket migration") --------------------------
 //
@@ -85,10 +86,7 @@
 #include <utility>
 #include <vector>
 
-#include "llxscx/llx_scx.h"
-#include "llxscx/scx_op.h"
-#include "reclaim/record_manager.h"
-#include "util/memorder.h"
+#include "ds/list_llxscx.h"
 
 namespace llxscx {
 
@@ -107,43 +105,14 @@ struct HashMapOccupancy {
   double load_factor = 0.0;    // items / buckets
 };
 
-struct HashMapNode : DataRecord<1> {
-  static constexpr std::size_t kNext = 0;
-
-  // kItem  — a ⟨key, value⟩ element.
-  // kTail  — per-bucket end-of-chain sentinel (never null-terminated).
-  // kMoved — bucket seal marker: installed as head.next by the seal SCX;
-  //          its mutable next points at the frozen chain until the finish
-  //          SCX redirects it to a kDone marker.
-  // kDone  — bucket fully migrated: operations route to the next table.
-  enum Kind : std::uint8_t { kItem = 0, kTail = 1, kMoved = 2, kDone = 3 };
-
-  struct TailTag {};
-  struct MovedTag {};
-  struct DoneTag {};
-
-  HashMapNode(std::uint64_t k, std::uint64_t v, HashMapNode* n)
-      : key(k), value(v), kind(kItem) {
-    mut(kNext).store(reinterpret_cast<std::uint64_t>(n),
-                     std::memory_order_relaxed);
-  }
-  explicit HashMapNode(TailTag) : key(0), value(0), kind(kTail) {}
-  HashMapNode(MovedTag, HashMapNode* frozen_first)
-      : key(0), value(0), kind(kMoved) {
-    mut(kNext).store(reinterpret_cast<std::uint64_t>(frozen_first),
-                     std::memory_order_relaxed);
-  }
-  explicit HashMapNode(DoneTag) : key(0), value(0), kind(kDone) {}
-
-  const std::uint64_t key;
-  const std::uint64_t value;
-  const Kind kind;
-};
-
+// Bucket chains are list-engine chains, and the migration's markers M and
+// D (header comment) are the ListNode kinds kMoved and kDone.
 template <class Reclaim = EbrManager>
 class BasicLlxScxHashMap {
+  using L = List<Reclaim>;
+
  public:
-  using Node = HashMapNode;
+  using Node = ListNode;
   static constexpr const char* kName = "llxscx-hashmap";
 
   // Resize tuning (see the header comment). All are chain-length /
@@ -173,16 +142,7 @@ class BasicLlxScxHashMap {
     // epoch as usual).
     Table* t = table_.load(mo::relaxed);
     while (t != nullptr) {
-      for (Node* head : t->heads) {
-        Node* cur = head;
-        while (cur != nullptr) {
-          Node* next = (cur->kind == Node::kTail || cur->kind == Node::kDone)
-                           ? nullptr
-                           : next_of(cur);
-          Reclaim::dealloc(cur);
-          cur = next;
-        }
-      }
+      for (Node* head : t->heads) L::free_chain(head);
       Table* nt = t->next.load(mo::relaxed);
       Reclaim::dealloc(t);
       t = nt;
@@ -202,28 +162,20 @@ class BasicLlxScxHashMap {
       // how long the chain is. Keep counting past the slot, capped at the
       // backpressure bound — beyond it the exact value doesn't matter.
       std::size_t chain = s.walked;
-      for (const Node* n = s.cur; n->kind == Node::kItem && chain < kStallChainLen;
-           n = next_of(n)) {
+      L::walk_items(s.cur, [&](const Node*) {
+        if (chain >= kStallChainLen) return false;
         ++chain;
-      }
+        return true;
+      });
       if (chain >= kStallChainLen) {
         // Backpressure: never lengthen a chain this long — move the bucket
         // to the next table (growing one if needed) and insert there.
         t = route(t, s.b);
         continue;
       }
-      const bool present = s.cur->kind == Node::kItem && s.cur->key == key;
-      ScxOp<Node, Reclaim> op;
-      op.link(s.lp);
-      Node* succ = s.cur;
-      if (present) {
-        auto lc = llx(s.cur);
-        if (!lc.ok()) continue;
-        op.remove(lc);  // value change = node replacement (see header)
-        succ = to_node(lc.field(Node::kNext));
-      }
-      op.write(s.pred, Node::kNext, op.freshly(key, value, succ));
-      if (op.commit()) {
+      const bool present = s.cur->item() && s.cur->key == key;
+      // A value change is a node replacement (see header).
+      if (present ? L::replace(s, value) : L::insert_before(s, key, value)) {
         if (!present) t->items.fetch_add(1, mo::relaxed);
         after_update(t, present ? chain : chain + 1);
         return !present;
@@ -237,29 +189,11 @@ class BasicLlxScxHashMap {
     Table* t = table_.load(mo::acquire);
     for (;;) {
       const Slot s = locate(t, key);
-      if (s.cur->kind != Node::kItem || s.cur->key != key) {
-        after_update(t, s.walked);
-        return false;
-      }
-      auto lc = llx(s.cur);
-      if (!lc.ok()) continue;
-      Node* succ = to_node(lc.field(Node::kNext));
-      auto ls = llx(succ);
-      if (!ls.ok()) continue;
-      ScxOp<Node, Reclaim> op;
-      op.link(s.lp);
-      op.remove(lc);
-      op.remove(ls);  // full-delete shape: successor copied, never re-linked
-      auto repl = succ->kind == Node::kTail
-                      ? op.freshly(Node::TailTag{})
-                      : op.freshly(succ->key, succ->value,
-                                   to_node(ls.field(Node::kNext)));
-      op.write(s.pred, Node::kNext, repl);
-      if (op.commit()) {
-        t->items.fetch_sub(1, mo::relaxed);
-        after_update(t, s.walked);
-        return true;
-      }
+      const bool present = s.cur->item() && s.cur->key == key;
+      if (present && !L::remove(s)) continue;
+      if (present) t->items.fetch_sub(1, mo::relaxed);
+      after_update(t, s.walked);
+      return present;
     }
   }
 
@@ -269,8 +203,8 @@ class BasicLlxScxHashMap {
          t = t->next.load(mo::acquire)) {
       const Node* cur = chain_of(t, bucket_of(key, t->mask));
       if (cur == nullptr) continue;  // MIGRATED: the key lives in t->next
-      while (cur->kind == Node::kItem && cur->key < key) cur = next_of(cur);
-      if (cur->kind == Node::kItem && cur->key == key) return cur->value;
+      cur = L::walk_items(cur, [&](const Node* n) { return n->key < key; });
+      if (cur->item() && cur->key == key) return cur->value;
       return std::nullopt;
     }
   }
@@ -327,12 +261,12 @@ class BasicLlxScxHashMap {
             continue;
           }
           const Node* c = cur[l];
-          if (c->kind == Node::kItem && c->key < key) {
-            const Node* nx = next_of(c);
+          if (c->item() && c->key < key) {
+            const Node* nx = L::next_of(c);
             __builtin_prefetch(nx);
             cur[l] = nx;
           } else {
-            out[base + l] = c->kind == Node::kItem && c->key == key;
+            out[base + l] = c->item() && c->key == key;
             st[l] = kLaneDone;
             --live;
           }
@@ -417,14 +351,6 @@ class BasicLlxScxHashMap {
     std::atomic<std::int64_t> items{0};
   };
 
-  static Node* to_node(std::uint64_t w) { return reinterpret_cast<Node*>(w); }
-  static Node* next_of(const Node* n) {
-    Stats::count_read();
-    // acquire: pairs with the committing SCX's release update-CAS — a
-    // node's immutable fields are visible before its address is reachable.
-    return to_node(n->mut(Node::kNext).load(mo::acquire));
-  }
-
   static std::size_t bucket_of(std::uint64_t key, std::size_t mask) {
     // Fibonacci multiplicative spread so dense small-integer key sets
     // (every bench and test) don't pile into the low buckets.
@@ -440,16 +366,13 @@ class BasicLlxScxHashMap {
     t->heads.reserve(b);
     for (std::size_t i = 0; i < b; ++i) {
       t->heads.push_back(Reclaim::template alloc<Node>(
-          0, 0, Reclaim::template alloc<Node>(Node::TailTag{})));
+          0, 0, Reclaim::template alloc<Node>(Node::kTail)));
     }
     return t;
   }
 
   void free_table_now(Table* t) const {
-    for (Node* head : t->heads) {
-      Reclaim::dealloc(next_of(head));  // the tail — never published
-      Reclaim::dealloc(head);
-    }
+    for (Node* head : t->heads) L::free_chain(head);  // never published
     Reclaim::dealloc(t);
   }
 
@@ -462,18 +385,16 @@ class BasicLlxScxHashMap {
   // the frozen chain, no update to the bucket's keys can have committed
   // anywhere (updates must first drive the finish SCX, which changes it).
   static const Node* chain_of(const Table* t, std::size_t b) {
-    const Node* first = next_of(t->heads[b]);
+    const Node* first = L::next_of(t->heads[b]);
     if (first->kind != Node::kMoved) return first;
-    const Node* fc = next_of(first);
+    const Node* fc = L::next_of(first);
     return fc->kind == Node::kDone ? nullptr : fc;
   }
 
-  // An update's position for key: pred is LLX'd (every update SCX links
-  // that snapshot) and cur is pred's next as that snapshot saw it.
-  struct Slot {
-    LlxResult<Node::kNumMut> lp;
-    Node* pred;
-    Node* cur;
+  // An update's position for key: the engine's pinned slot (pred LLXed,
+  // cur as that snapshot saw pred.next; every update SCX links the
+  // snapshot), plus where locate() found it.
+  struct Slot : L::Slot {
     std::size_t walked;  // items walked past: the insert depth
     std::size_t b;
   };
@@ -486,22 +407,12 @@ class BasicLlxScxHashMap {
   Slot locate(Table*& t, std::uint64_t key) {
     for (;;) {
       const std::size_t b = bucket_of(key, t->mask);
-      Node* pred = t->heads[b];
-      Node* cur = next_of(pred);
-      std::size_t walked = 0;
-      for (; cur->kind == Node::kItem && cur->key < key; ++walked) {
-        pred = cur;
-        cur = next_of(cur);
-      }
-      if (cur->kind == Node::kMoved) {
+      const auto w = L::walk_to(t->heads[b], key);
+      if (w.cur->kind == Node::kMoved) {
         t = route(t, b);
         continue;
       }
-      auto lp = llx(pred);
-      if (!lp.ok()) continue;
-      cur = to_node(lp.field(Node::kNext));
-      if (cur->kind == Node::kItem && cur->key < key) continue;  // stale
-      return {lp, pred, cur, walked, b};
+      if (const auto s = L::pin(w.pred, key)) return {*s, w.walked, b};
     }
   }
 
@@ -600,7 +511,7 @@ class BasicLlxScxHashMap {
     do {
       lm = llx(m);
     } while (!lm.ok());
-    return to_node(lm.field(Node::kNext))->kind != Node::kDone;
+    return L::to_node(lm.field(Node::kNext))->kind != Node::kDone;
   }
 
   // Drive bucket b of t from LIVE through SEALED to MIGRATED (idempotent;
@@ -610,26 +521,24 @@ class BasicLlxScxHashMap {
     if (nt == nullptr) return;
     Node* const head = t->heads[b];
     for (;;) {
-      Node* const m = next_of(head);
+      Node* const m = L::next_of(head);
       if (m->kind != Node::kMoved) {
         seal_bucket(head);
         continue;  // re-read: now head.next is a kMoved marker
       }
       LlxResult<Node::kNumMut> lm;
       if (!unfinished(m, lm)) return;  // MIGRATED
-      Node* const fc = to_node(lm.field(Node::kNext));
+      Node* const fc = L::to_node(lm.field(Node::kNext));
       // Copy the frozen chain into the next table. Every copy's V
       // includes M, so copies atomically stop competing the instant the
       // finish SCX commits — a stalled helper can never resurrect a key
-      // that a routed erase already removed from the next table.
-      bool finished = false;
-      for (Node* n = fc; n->kind == Node::kItem; n = next_of(n)) {
-        if (!copy_into_next(nt, m, n->key, n->value)) {
-          finished = true;  // bucket finished under us
-          break;
-        }
+      // that a routed erase already removed from the next table. A copy
+      // that reports the bucket finished under us stops the walk on it.
+      if (L::walk_items(fc, [&](const Node* n) {
+            return copy_into_next(nt, m, n->key, n->value);
+          })->item()) {
+        return;
       }
-      if (finished) return;
       // Finish: M.next ← fresh kDone marker. Exactly one commit wins. Link
       // a snapshot of M taken after the copies: each committed copy froze
       // M, so the first snapshot would fail the finish and send us over
@@ -638,19 +547,13 @@ class BasicLlxScxHashMap {
       if (!unfinished(m, lm)) return;
       ScxOp<Node, Reclaim> op;
       op.link(lm);
-      auto d = op.freshly(Node::DoneTag{});
+      auto d = op.freshly(Node::kDone);
       op.write(m, Node::kNext, d);
       if (op.commit()) {
         // The winner — and only the winner — retires the frozen chain
         // (items + the bucket's old tail), exactly once. Stale readers
         // still walking it are protected by their epoch guards.
-        Node* n = fc;
-        while (n->kind == Node::kItem) {
-          Node* nx = next_of(n);
-          Reclaim::retire(n);
-          n = nx;
-        }
-        Reclaim::retire(n);  // the frozen chain's tail sentinel
+        L::free_chain(fc, &Reclaim::template retire<Node>);
         // acq_rel: the count is the swap gate — the winner of the last
         // bucket must observe every other finish before retiring heads.
         if (t->migrated.fetch_add(1, mo::acq_rel) + 1 == t->heads.size()) {
@@ -670,13 +573,13 @@ class BasicLlxScxHashMap {
       auto lh = llx(head);
       if (lh.is_finalized()) return;  // sealed by another thread
       if (!lh.ok()) continue;
-      Node* const first = to_node(lh.field(Node::kNext));
+      Node* const first = L::to_node(lh.field(Node::kNext));
       if (first->kind == Node::kMoved) return;
       ScxOp<Node, Reclaim> op;
       op.seal(lh);
       bool restart = false;
       std::size_t count = 0;
-      for (Node* n = first; n->kind == Node::kItem;) {
+      for (Node* n = first; n->item();) {
         auto ln = llx(n);
         if (!ln.ok() || ++count > kSealMaxChain) {
           // A concurrent update moved the chain, or it overshot the V
@@ -689,10 +592,10 @@ class BasicLlxScxHashMap {
           break;
         }
         op.seal(ln);
-        n = to_node(ln.field(Node::kNext));
+        n = L::to_node(ln.field(Node::kNext));
       }
       if (restart) continue;
-      auto m = op.freshly(Node::MovedTag{}, first);
+      auto m = op.freshly(Node::kMoved, first);
       op.write(head, Node::kNext, m);
       if (op.commit()) return;
     }
@@ -709,7 +612,7 @@ class BasicLlxScxHashMap {
       LlxResult<Node::kNumMut> lm;
       if (!unfinished(m, lm)) return false;
       const Slot s = locate(nt, key);
-      if (s.cur->kind == Node::kItem && s.cur->key == key) return true;
+      if (s.cur->item() && s.cur->key == key) return true;
       ScxOp<Node, Reclaim> op;
       op.link(lm);  // the not-finished predicate
       op.link(s.lp);
@@ -730,33 +633,27 @@ class BasicLlxScxHashMap {
                                         mo::relaxed)) {
       return;
     }
+    // Each old head → M → D chain.
     for (Node* head : t->heads) {
-      Node* m = next_of(head);  // the kMoved marker
-      Node* d = next_of(m);     // the kDone marker
-      Reclaim::retire(head);
-      Reclaim::retire(m);
-      Reclaim::retire(d);
+      L::free_chain(head, &Reclaim::template retire<Node>);
     }
     Reclaim::retire(t);
   }
 
   // --- whole-table walks (size / occupancy / items / scan_n) --------------
 
-  static std::size_t walk_chain(const Node* cur, const auto& node_fn) {
-    std::size_t n = 0;
-    for (; cur->kind == Node::kItem; cur = next_of(cur)) {
-      node_fn(cur);
-      ++n;
-    }
-    return n;
-  }
-
   // Visit bucket b of t: its chain_of() chain, or — once MIGRATED — the
   // next table's two split buckets, each routed the same way.
   void scan_bucket(const Table* t, std::size_t b, const auto& chain_fn,
                    const auto& node_fn) const {
     if (const Node* c = chain_of(t, b)) {
-      chain_fn(walk_chain(c, node_fn));
+      std::size_t n = 0;
+      L::walk_items(c, [&](const Node* x) {
+        node_fn(x);
+        ++n;
+        return true;
+      });
+      chain_fn(n);
       return;
     }
     const Table* nt = t->next.load(mo::acquire);

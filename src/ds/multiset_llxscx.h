@@ -1,36 +1,21 @@
 // The paper's Fig. 6 multiset: a sorted singly-linked list of
-// ⟨key, count⟩ Data-records built directly on LLX/SCX.
+// ⟨key, count⟩ Data-records built directly on LLX/SCX, through the list
+// engine (list_llxscx.h), which keeps a node's count in its `value`.
 //
-// SCX carries a usage assumption (§3): the value passed as `new` must
-// never have appeared in `fld` before — otherwise a stalled helper's late
-// update CAS could re-succeed after the field has moved on and back
-// (value ABA). Under the paper's garbage collector that is free: every
-// `new` is a freshly allocated node. This implementation keeps the same
-// discipline explicitly:
-//
-//   - a node's key and count are immutable; changing a count REPLACES the
-//     node (finalizing the old one),
-//   - removing a node also replaces its successor with a fresh copy (the
-//     k=3 "full-delete shape" E1 measures), so the successor's address is
-//     never written back into pred.next,
-//   - the list ends in a tail sentinel node (never null), so an empty
-//     position is also represented by a fresh address.
-//
-// Every SCX therefore installs a pointer to a node allocated within the
-// current operation; the Reclaim policy (reclaim/record_manager.h) keeps
-// such an address from being recycled while any thread that could help
-// the SCX holds a guard. The discipline is enforced through the ScxOp
-// builder (llxscx/scx_op.h): fresh nodes come from freshly(), `old`
-// always from the captured LLX snapshot, and the builder retires the
-// R-set exactly once on commit — through the same policy, so the E8
-// no-free ablation is just `BasicLlxScxMultiset<LeakyManager>` (the old
-// hand-rolled Leaky variant is gone).
+// The engine owns the node, the walks and the three SCX shapes, and with
+// them the paper's usage assumption (fresh `new` values: a count change
+// replaces the node, a full removal replaces the successor with a fresh
+// copy, the list ends in a tail sentinel). The ScxOp builder retires the
+// R-set exactly once on commit through the Reclaim policy, so the E8
+// no-free ablation is just `BasicLlxScxMultiset<LeakyManager>`.
 //
 // Shapes (DESIGN.md §6):
-//   insert, key absent   — SCX(V=⟨pred⟩,            R=∅,          pred.next ← n)
-//   insert, key present  — SCX(V=⟨pred,cur⟩,        R=⟨cur⟩,      pred.next ← n′)
-//   erase, partial count — SCX(V=⟨pred,cur⟩,        R=⟨cur⟩,      pred.next ← n′)
-//   erase, full count    — SCX(V=⟨pred,cur,succ⟩,   R=⟨cur,succ⟩, pred.next ← succ′)
+//   insert, key absent   — insert_before: SCX(V=⟨pred⟩,          R=∅)
+//   insert, key present  — replace:       SCX(V=⟨pred,cur⟩,      R=⟨cur⟩)
+//   erase, partial count — replace:       SCX(V=⟨pred,cur⟩,      R=⟨cur⟩)
+//   erase, full count    — remove:        SCX(V=⟨pred,cur,succ⟩, R=⟨cur,succ⟩)
+// A zero count changes nothing, so it issues no SCX: insert(k, 0) returns
+// true and erase(k, 0) returns 0 without touching the list.
 //
 // Get traverses with plain reads (Proposition 2, §4.3);
 // get_llx_traversal is the deliberately-expensive variant E5 compares
@@ -41,79 +26,31 @@
 #include <utility>
 #include <vector>
 
-#include "llxscx/llx_scx.h"
-#include "llxscx/scx_op.h"
-#include "reclaim/record_manager.h"
-#include "util/memorder.h"
+#include "ds/list_llxscx.h"
 
 namespace llxscx {
 
-struct MultisetNode : DataRecord<1> {
-  static constexpr std::size_t kNext = 0;
-
-  struct TailTag {};
-
-  MultisetNode(std::uint64_t k, std::uint64_t c, MultisetNode* n)
-      : key(k), count(c), tail(false) {
-    mut(kNext).store(reinterpret_cast<std::uint64_t>(n),
-                     std::memory_order_relaxed);
-  }
-  explicit MultisetNode(TailTag) : key(0), count(0), tail(true) {}
-
-  const std::uint64_t key;
-  const std::uint64_t count;
-  const bool tail;  // end-of-list sentinel (compares greater than any key)
-};
-
 template <class Reclaim = EbrManager>
 class BasicLlxScxMultiset {
+  using L = List<Reclaim>;
+
  public:
-  using Node = MultisetNode;
+  using Node = ListNode;
   static constexpr const char* kName = "llxscx-multiset";
 
-  BasicLlxScxMultiset() {
-    head_.mut(Node::kNext).store(
-        reinterpret_cast<std::uint64_t>(
-            Reclaim::template alloc<Node>(Node::TailTag{})),
-        std::memory_order_relaxed);
-  }
-  ~BasicLlxScxMultiset() {
-    // Quiescent teardown; removed-but-unreclaimed nodes are the policy's
-    // (or, for the leaky policy, nobody's).
-    Node* cur = next_of(&head_);
-    while (cur != nullptr) {
-      Node* next = cur->tail ? nullptr : next_of(cur);
-      Reclaim::dealloc(cur);
-      cur = next;
-    }
-  }
-  BasicLlxScxMultiset(const BasicLlxScxMultiset&) = delete;
-  BasicLlxScxMultiset& operator=(const BasicLlxScxMultiset&) = delete;
-
+  // Adds count copies of key; always true, as for the container
+  // contract's other duplicate-accepting families. A zero count is a no-op
+  // (see the header comment).
   bool insert(std::uint64_t key, std::uint64_t count = 1) {
+    if (count == 0) return true;
     Epoch::Guard g;
     for (;;) {
-      Node* pred = locate(key);
-      auto lp = llx(pred);
-      if (!lp.ok()) continue;
-      Node* cur = to_node(lp.field(Node::kNext));
-      if (!cur->tail && cur->key < key) continue;  // stale position
-      if (!cur->tail && cur->key == key) {
-        auto lc = llx(cur);
-        if (!lc.ok()) continue;
-        ScxOp<Node, Reclaim> op;
-        op.link(lp);
-        op.remove(lc);
-        auto repl = op.freshly(key, cur->count + count,
-                               to_node(lc.field(Node::kNext)));
-        op.write(pred, Node::kNext, repl);
-        if (op.commit()) return true;
-      } else {
-        ScxOp<Node, Reclaim> op;
-        op.link(lp);
-        auto n = op.freshly(key, count, cur);
-        op.write(pred, Node::kNext, n);
-        if (op.commit()) return true;
+      const auto s = L::pin(L::walk_to(list_.head(), key).pred, key);
+      if (!s) continue;
+      const bool present = s->cur->item() && s->cur->key == key;
+      if (present ? L::replace(*s, s->cur->value + count)
+                  : L::insert_before(*s, key, count)) {
+        return true;
       }
     }
   }
@@ -125,46 +62,20 @@ class BasicLlxScxMultiset {
 
   // Removes up to `count` copies of key; returns how many were removed.
   std::uint64_t erase(std::uint64_t key, std::uint64_t count) {
+    if (count == 0) return 0;
     Epoch::Guard g;
     for (;;) {
-      Node* pred = locate(key);
-      auto lp = llx(pred);
-      if (!lp.ok()) continue;
-      Node* cur = to_node(lp.field(Node::kNext));
-      if (!cur->tail && cur->key < key) continue;
-      if (cur->tail || cur->key != key) return 0;
-      auto lc = llx(cur);
-      if (!lc.ok()) continue;
-      if (cur->count > count) {
-        ScxOp<Node, Reclaim> op;
-        op.link(lp);
-        op.remove(lc);
-        auto repl = op.freshly(key, cur->count - count,
-                               to_node(lc.field(Node::kNext)));
-        op.write(pred, Node::kNext, repl);
-        if (op.commit()) return count;
-      } else {
-        // Full removal: the k=3 shape. The successor is finalized too and
-        // replaced by a fresh copy, so pred.next receives a value it has
-        // never held (see header comment).
-        Node* succ = to_node(lc.field(Node::kNext));
-        auto ls = llx(succ);
-        if (!ls.ok()) continue;
-        const std::uint64_t removed = cur->count;
-        ScxOp<Node, Reclaim> op;
-        op.link(lp);
-        op.remove(lc);
-        op.remove(ls);
-        auto repl = succ->tail ? op.freshly(Node::TailTag{})
-                               : op.freshly(succ->key, succ->count,
-                                            to_node(ls.field(Node::kNext)));
-        op.write(pred, Node::kNext, repl);
-        if (op.commit()) return removed;
+      const auto s = L::pin(L::walk_to(list_.head(), key).pred, key);
+      if (!s) continue;
+      const Node* cur = s->cur;
+      if (!cur->item() || cur->key != key) return 0;
+      if (cur->value > count) {
+        if (L::replace(*s, cur->value - count)) return count;
+      } else if (L::remove(*s)) {
+        return cur->value;
       }
     }
   }
-
-  bool delete_one(std::uint64_t key) { return erase(key, 1) != 0; }
 
   // Membership by key (container contract): any copy present?
   bool contains(std::uint64_t key) const { return get(key) != 0; }
@@ -176,18 +87,18 @@ class BasicLlxScxMultiset {
   std::size_t size() const {
     Epoch::Guard g;
     std::size_t total = 0;
-    for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
-      total += cur->count;
-    }
+    L::walk_items(L::next_of(list_.head()), [&](const Node* n) {
+      total += n->value;
+      return true;
+    });
     return total;
   }
 
   // Multiplicity of key, traversing with plain reads (Proposition 2).
   std::uint64_t get(std::uint64_t key) const {
     Epoch::Guard g;
-    const Node* cur = next_of(&head_);
-    while (!cur->tail && cur->key < key) cur = next_of(cur);
-    return (!cur->tail && cur->key == key) ? cur->count : 0;
+    const Node* cur = L::walk_to(list_.head(), key).cur;
+    return cur->item() && cur->key == key ? cur->value : 0;
   }
 
   // The E5 strawman: the same search but LLX-ing every node on the path,
@@ -195,30 +106,26 @@ class BasicLlxScxMultiset {
   std::uint64_t get_llx_traversal(std::uint64_t key) const {
     Epoch::Guard g;
     for (;;) {
-      auto lh = llx(&head_);
+      auto lh = llx(list_.head());
       if (!lh.ok()) continue;
-      const Node* cur = to_node(lh.field(Node::kNext));
+      const Node* cur = L::to_node(lh.field(Node::kNext));
       bool restart = false;
-      while (!cur->tail) {
+      while (cur->item()) {
         auto lc = llx(cur);
         if (!lc.ok()) {
           restart = true;
           break;
         }
-        if (cur->key >= key) return cur->key == key ? cur->count : 0;
-        cur = to_node(lc.field(Node::kNext));
+        if (cur->key >= key) return cur->key == key ? cur->value : 0;
+        cur = L::to_node(lc.field(Node::kNext));
       }
       if (!restart) return 0;
     }
   }
 
-  // Ordered ⟨key, count⟩ snapshot. Quiescent callers only (tests).
+  // Ordered ⟨key, count⟩ snapshot; exact when quiescent.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> items() const {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-    for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
-      out.emplace_back(cur->key, cur->count);
-    }
-    return out;
+    return list_.items();
   }
 
   // Ordered range scan (DESIGN.md §15): appends every ⟨key, count⟩ with
@@ -232,41 +139,16 @@ class BasicLlxScxMultiset {
       std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const {
     Epoch::Guard g;
     const std::size_t base = out.size();
-    const Node* cur = next_of(&head_);
-    while (!cur->tail && cur->key < lo) cur = next_of(cur);
-    while (!cur->tail && cur->key <= hi) {
-      out.emplace_back(cur->key, cur->count);
-      cur = next_of(cur);
-    }
+    L::walk_items(L::walk_to(list_.head(), lo).cur, [&](const Node* n) {
+      if (n->key > hi) return false;
+      out.emplace_back(n->key, n->value);
+      return true;
+    });
     return out.size() - base;
   }
 
  private:
-  static Node* to_node(std::uint64_t w) { return reinterpret_cast<Node*>(w); }
-  static Node* next_of(const Node* n) {
-    Stats::count_read();
-    // acquire: pairs with the committing SCX's release update-CAS — a
-    // node's immutable fields are visible before its address is reachable.
-    return to_node(n->mut(Node::kNext).load(mo::acquire));
-  }
-
-  // Plain-read search for the last node with key' < key (possibly the
-  // sentinel head). The caller re-derives the successor from its LLX of
-  // the returned node and revalidates the position.
-  Node* locate(std::uint64_t key) const {
-    const Node* pred = &head_;
-    const Node* cur = next_of(pred);
-    while (!cur->tail && cur->key < key) {
-      pred = cur;
-      cur = next_of(cur);
-    }
-    return const_cast<Node*>(pred);
-  }
-
-  // Head sentinel; its key/count are never compared. The list always ends
-  // in a tail-flagged node, so next pointers on the search path are never
-  // null.
-  Node head_{0, 0, nullptr};
+  L list_;
 };
 
 using LlxScxMultiset = BasicLlxScxMultiset<EbrManager>;

@@ -110,8 +110,6 @@ class McasMultiset {
     }
   }
 
-  bool delete_one(std::uint64_t key) { return erase(key, 1) != 0; }
-
   std::uint64_t get(std::uint64_t key) const {
     Epoch::Guard g;
     for (;;) {

@@ -1,6 +1,9 @@
 // FIFO queue on LLX/SCX (E9): a two-sentinel singly linked list driven
 // through the ScxOp builder, with k=2 enqueue and k=2 dequeue shapes and
 // an amortized tail hint that makes enqueue O(1) on the steady state.
+// The node, the whole-list walks and teardown are the list engine's
+// (list_llxscx.h); neither update is one of its shapes, so both are
+// written here.
 //
 // Structure: head sentinel Data-record (single mutable field: the first
 // element) → immutable ⟨key, value⟩ nodes → tail sentinel. Enqueue
@@ -70,52 +73,17 @@
 #include <utility>
 #include <vector>
 
-#include "llxscx/llx_scx.h"
-#include "llxscx/scx_op.h"
-#include "reclaim/record_manager.h"
-#include "util/memorder.h"
+#include "ds/list_llxscx.h"
 
 namespace llxscx {
 
-struct QueueNode : DataRecord<1> {
-  static constexpr std::size_t kNext = 0;
-
-  struct TailTag {};
-
-  QueueNode(std::uint64_t k, std::uint64_t v, QueueNode* n)
-      : key(k), value(v), tail(false) {
-    mut(kNext).store(reinterpret_cast<std::uint64_t>(n),
-                     std::memory_order_relaxed);
-  }
-  explicit QueueNode(TailTag) : key(0), value(0), tail(true) {}
-
-  const std::uint64_t key;
-  const std::uint64_t value;
-  const bool tail;  // end-of-list sentinel, replaced by every enqueue
-};
-
 template <class Reclaim = EbrManager>
 class BasicLlxScxQueue {
- public:
-  using Node = QueueNode;
-  static constexpr const char* kName = "llxscx-queue";
+  using L = List<Reclaim>;
 
-  BasicLlxScxQueue() {
-    head_.mut(Node::kNext).store(
-        reinterpret_cast<std::uint64_t>(
-            Reclaim::template alloc<Node>(Node::TailTag{})),
-        std::memory_order_relaxed);
-  }
-  ~BasicLlxScxQueue() {
-    Node* cur = next_of(&head_);
-    while (cur != nullptr) {
-      Node* next = cur->tail ? nullptr : next_of(cur);
-      Reclaim::dealloc(cur);
-      cur = next;
-    }
-  }
-  BasicLlxScxQueue(const BasicLlxScxQueue&) = delete;
-  BasicLlxScxQueue& operator=(const BasicLlxScxQueue&) = delete;
+ public:
+  using Node = ListNode;
+  static constexpr const char* kName = "llxscx-queue";
 
   bool enqueue(std::uint64_t key, std::uint64_t value) {
     Epoch::Guard g;
@@ -124,33 +92,33 @@ class BasicLlxScxQueue {
       // acquire: a pointer value reads-from a publish CAS (release), which
       // carries the pointee's construction — safe to LLX below.
       const std::uint64_t h0 = hint_.load(mo::acquire);
-      Node* start = &head_;
+      Node* start = list_.head();
       LlxResult<1> lstart = LlxResult<1>::fail();
       if (h0 != 0 && (h0 & 1) == 0) {
         // Hint rule 3: LLX before trusting. Memory-safe by rule 2 (the
         // pointer was unretired at the load, and our guard predates any
         // later retire of it).
-        lstart = llx(to_node(h0));
-        if (lstart.ok()) start = to_node(h0);
+        lstart = llx(L::to_node(h0));
+        if (lstart.ok()) start = L::to_node(h0);
         // FAIL/FINALIZED: stale hint — fall back to the head walk.
       }
       // Walk to the last edge: the node whose next is the tail sentinel.
       Node* last = start;
-      for (Node* c = lstart.ok() ? to_node(lstart.field(Node::kNext))
-                                 : next_of(last);
-           !c->tail; c = next_of(c)) {
+      for (Node* c = lstart.ok() ? L::to_node(lstart.field(Node::kNext))
+                                 : L::next_of(last);
+           c->item(); c = L::next_of(c)) {
         last = c;
       }
       auto ll = (last == start && lstart.ok()) ? lstart : llx(last);
       if (!ll.ok()) continue;
-      Node* t = to_node(ll.field(Node::kNext));
-      if (!t->tail) continue;  // an enqueue slipped in behind us: re-walk
+      Node* t = L::to_node(ll.field(Node::kNext));
+      if (t->item()) continue;  // an enqueue slipped in behind us: re-walk
       auto lt = llx(t);
       if (!lt.ok()) continue;
       ScxOp<Node, Reclaim> op;
       op.link(ll);
       op.remove(lt);  // the old tail sentinel is consumed by this enqueue
-      auto fresh_tail = op.freshly(Node::TailTag{});
+      auto fresh_tail = op.freshly(Node::kTail);
       auto n = op.freshly(key, value, fresh_tail.get());
       op.write(last, Node::kNext, n);
       if (op.commit()) {
@@ -170,10 +138,10 @@ class BasicLlxScxQueue {
   std::optional<std::pair<std::uint64_t, std::uint64_t>> dequeue() {
     Epoch::Guard g;
     for (;;) {
-      auto lh = llx(&head_);
+      auto lh = llx(list_.head());
       if (!lh.ok()) continue;
-      Node* first = to_node(lh.field(Node::kNext));
-      if (first->tail) return std::nullopt;
+      Node* first = L::to_node(lh.field(Node::kNext));
+      if (!first->item()) return std::nullopt;
       auto lf = llx(first);
       if (!lf.ok()) continue;
       const std::uint64_t k = first->key;
@@ -192,7 +160,7 @@ class BasicLlxScxQueue {
       // Value-uniqueness argued in the header: first's successor has never
       // been in head.next, and this handoff (which finalizes first) is the
       // only op that can ever put it there.
-      op.write_handoff(&head_, Node::kNext, first, Node::kNext);
+      op.write_handoff(list_.head(), Node::kNext, first, Node::kNext);
       if (op.commit()) return std::make_pair(k, v);
     }
   }
@@ -205,44 +173,16 @@ class BasicLlxScxQueue {
   }
   bool erase(std::uint64_t /*key*/) { return dequeue().has_value(); }
 
-  bool contains(std::uint64_t key) const {
-    Epoch::Guard g;
-    for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
-      if (cur->key == key) return true;
-    }
-    return false;
-  }
-
-  std::size_t size() const {
-    Epoch::Guard g;
-    std::size_t n = 0;
-    for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
-      ++n;
-    }
-    return n;
-  }
-
-  // Front-to-back ⟨key, value⟩ list, the scan verbs' fallback
-  // (container_api.h). Guarded like contains() and size(), so safe under
-  // concurrent enqueue/dequeue; exact only when quiescent.
+  // Guarded walks from the front (the engine's), safe under concurrent
+  // enqueue/dequeue; exact when quiescent. items() is front-to-back, the
+  // scan verbs' fallback (container_api.h).
+  bool contains(std::uint64_t key) const { return list_.contains(key); }
+  std::size_t size() const { return list_.size(); }
   std::vector<std::pair<std::uint64_t, std::uint64_t>> items() const {
-    Epoch::Guard g;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-    for (const Node* cur = next_of(&head_); !cur->tail; cur = next_of(cur)) {
-      out.emplace_back(cur->key, cur->value);
-    }
-    return out;
+    return list_.items();
   }
 
  private:
-  static Node* to_node(std::uint64_t w) { return reinterpret_cast<Node*>(w); }
-  static Node* next_of(const Node* n) {
-    Stats::count_read();
-    // acquire: pairs with the committing SCX's release update-CAS — a
-    // node's immutable fields are visible before its address is reachable.
-    return to_node(n->mut(Node::kNext).load(mo::acquire));
-  }
-
   // Process-unique odd stamp: threads draw blocks of 2^20 consecutive
   // values from a shared counter — one uncontended fetch_add per million
   // stamps, no per-dequeue shared step — so uniqueness holds
@@ -261,7 +201,7 @@ class BasicLlxScxQueue {
   }
 
   // Head sentinel: its single mutable field points at the front element.
-  Node head_{0, 0, nullptr};
+  L list_;
   // The amortized tail hint (header comment): 0 / Node* (even) / stamp
   // (odd). Strictly an accelerator — correctness never depends on it
   // being current, only the three rules above on how it is written/read.

@@ -37,55 +37,14 @@
 #include "util/random.h"
 
 #include "tests/test_common.h"
+#include "tests/test_engines.h"
 
 namespace llxscx {
 namespace {
 
-// Family traits, same derivation as the conformance suite: the sharded
-// wrapper inherits its engine's semantics.
-template <class C>
-struct EngineOf {
-  using type = C;
-};
-template <class E, class S>
-struct EngineOf<ShardedMap<E, S>> {
-  using type = E;
-};
-template <class C>
-using engine_t = typename EngineOf<C>::type;
-
-template <class C>
-constexpr bool kIsSeq = requires(engine_t<C> e) { e.pop(); } ||
-                        requires(engine_t<C> e) { e.dequeue(); };
-template <class C>
-constexpr bool kIsBag = requires(engine_t<C> e) { e.delete_one(1ull); };
-template <class C>
-constexpr bool kKeyedErase = !kIsSeq<C>;
-
-template <class C>
-std::uint64_t drained_outstanding(const C& c) {
-  if constexpr (requires {
-                  c.drain_all();
-                  c.reclaim_outstanding();
-                }) {
-    c.drain_all();
-    return c.reclaim_outstanding();
-  } else {
-    (void)c;
-    Epoch::drain_all_for_testing();
-    return Epoch::outstanding();
-  }
-}
-
 template <class C>
 class BatchConformance : public ::testing::Test {};
 
-using Containers = ::testing::Types<
-    LlxScxMultiset, LlxScxStack, LlxScxQueue, LlxScxHashMap, LlxScxBst,
-    LlxScxPatricia, LlxScxChromatic, ShardedMap<LlxScxMultiset>,
-    ShardedMap<LlxScxStack>, ShardedMap<LlxScxQueue>,
-    ShardedMap<LlxScxHashMap>, ShardedMap<LlxScxBst>,
-    ShardedMap<LlxScxPatricia>, ShardedMap<LlxScxChromatic>>;
 TYPED_TEST_SUITE(BatchConformance, Containers);
 
 // multi_get == per-key contains on a quiescent container, across present,
@@ -373,9 +332,9 @@ TEST(EbrManagerSizeClasses, MappingIsMallocChunkSizes) {
   static_assert(EbrManager::size_class_bytes(15) == 264);
   // The two hot node types share the 56-byte class (64-byte chunks).
   static_assert(sizeof(ChromaticNode) == 56);
-  static_assert(sizeof(HashMapNode) == 48);
+  static_assert(sizeof(ListNode) == 48);
   static_assert(EbrManager::size_class_of(sizeof(ChromaticNode)) == 2);
-  static_assert(EbrManager::size_class_of(sizeof(HashMapNode)) == 2);
+  static_assert(EbrManager::size_class_of(sizeof(ListNode)) == 2);
   for (std::size_t bytes = 1; bytes <= 264; ++bytes) {
     const std::size_t cls = EbrManager::size_class_of(bytes);
     ASSERT_LT(cls, EbrManager::kNumSizeClasses);

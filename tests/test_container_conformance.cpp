@@ -43,6 +43,7 @@
 #include "util/random.h"
 
 #include "tests/test_common.h"
+#include "tests/test_engines.h"
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -51,63 +52,14 @@
 namespace llxscx {
 namespace {
 
-// The engine behind a front-end: identity for bare structures, Engine for
-// ShardedMap<Engine> — semantic traits follow the engine.
-template <class C>
-struct EngineOf {
-  using type = C;
-};
-template <class E, class S>
-struct EngineOf<ShardedMap<E, S>> {
-  using type = E;
-};
-
-template <class C>
-using engine_t = typename EngineOf<C>::type;
-
-// Family detection off the engines' own extra verbs: sequence containers
-// expose pop()/dequeue(), the multiset exposes delete_one().
-template <class C>
-constexpr bool kIsSeq = requires(engine_t<C> e) { e.pop(); } ||
-                        requires(engine_t<C> e) { e.dequeue(); };
-template <class C>
-constexpr bool kIsBag = requires(engine_t<C> e) { e.delete_one(1ull); };
-
 template <class C>
 constexpr bool kDupInsertReturnsTrue = kIsSeq<C> || kIsBag<C>;
 template <class C>
-constexpr bool kKeyedErase = !kIsSeq<C>;
-
-template <class C>
 constexpr bool kIsSharded = !std::is_same_v<C, engine_t<C>>;
-
-// Drain the domains the container retires into, then report what is still
-// outstanding. ShardedMap owns per-shard domains; bare engines retire into
-// the thread's current (default) domain.
-template <class C>
-std::uint64_t drained_outstanding(const C& c) {
-  if constexpr (requires {
-                  c.drain_all();
-                  c.reclaim_outstanding();
-                }) {
-    c.drain_all();
-    return c.reclaim_outstanding();
-  } else {
-    (void)c;
-    Epoch::drain_all_for_testing();
-    return Epoch::outstanding();
-  }
-}
 
 template <class C>
 class ContainerConformance : public ::testing::Test {};
 
-using Containers = ::testing::Types<
-    LlxScxMultiset, LlxScxStack, LlxScxQueue, LlxScxHashMap, LlxScxBst,
-    LlxScxPatricia, LlxScxChromatic, ShardedMap<LlxScxMultiset>,
-    ShardedMap<LlxScxStack>, ShardedMap<LlxScxQueue>,
-    ShardedMap<LlxScxHashMap>, ShardedMap<LlxScxBst>,
-    ShardedMap<LlxScxPatricia>, ShardedMap<LlxScxChromatic>>;
 TYPED_TEST_SUITE(ContainerConformance, Containers);
 
 TYPED_TEST(ContainerConformance, SatisfiesConceptWithStableName) {

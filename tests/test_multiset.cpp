@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "baselines/locks.h"
+#include "ds/container_api.h"
 #include "ds/multiset_llxscx.h"
 #include "ds/multiset_mcas.h"
 
@@ -19,7 +22,7 @@ TEST(Multiset, EmptySetEdgeCases) {
   LlxScxMultiset ms;
   EXPECT_EQ(ms.get(1), 0u);
   EXPECT_EQ(ms.get(0), 0u);
-  EXPECT_FALSE(ms.delete_one(1));
+  EXPECT_FALSE(ms.erase(1));
   EXPECT_EQ(ms.erase(42, 100), 0u);
   EXPECT_TRUE(ms.items().empty());
   EXPECT_EQ(ms.get_llx_traversal(1), 0u);
@@ -32,9 +35,9 @@ TEST(Multiset, InsertGetDeleteCounts) {
   EXPECT_EQ(ms.get(4), 0u);
   EXPECT_EQ(ms.get(6), 0u);
 
-  EXPECT_TRUE(ms.delete_one(5));
+  EXPECT_TRUE(ms.erase(5));
   EXPECT_EQ(ms.get(5), 0u);
-  EXPECT_FALSE(ms.delete_one(5));
+  EXPECT_FALSE(ms.erase(5));
 }
 
 TEST(Multiset, DuplicateKeyMultiplicity) {
@@ -89,6 +92,98 @@ TEST(Multiset, KeyZeroIsAValidKey) {
   EXPECT_EQ(ms.get(0), 4u);
   EXPECT_EQ(ms.erase(0, 4), 4u);
   EXPECT_EQ(ms.get(0), 0u);
+}
+
+// DESIGN.md §6: the list's three SCX shapes, uncontended so no retry
+// inflates the counts. insert of an absent key is k=1 (⟨pred⟩ ⇒ 2 CAS,
+// f=0 ⇒ 2 writes); insert of a present key and a partial erase replace
+// the node, k=2 (⟨pred, cur⟩ ⇒ 3 CAS, f=1 ⇒ 3 writes); a full erase
+// also copies the successor, k=3 (⟨pred, cur, succ⟩ ⇒ 4 CAS, f=2 ⇒ 4
+// writes). Each allocates exactly one node. An absent key's erase is one
+// LLX of pred and no SCX.
+TEST(Multiset, ScxShapesArePinned) {
+  if (!kStepCounting) GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
+  LlxScxMultiset ms;
+  ASSERT_TRUE(ms.insert(10, 1));
+  ASSERT_TRUE(ms.insert(30, 1));
+
+  StepCounts d = steps_of([&] { ASSERT_TRUE(ms.insert(20, 2)); });
+  EXPECT_EQ(d.llx_calls, 1u);
+  EXPECT_EQ(d.llx_fail, 0u);
+  EXPECT_EQ(d.scx_calls, 1u);
+  EXPECT_EQ(d.scx_fail, 0u);
+  EXPECT_EQ(d.cas, 2u) << "insert-absent: k+1 CAS with k=1";
+  EXPECT_EQ(d.shared_writes, 2u) << "insert-absent: f+2 writes with f=0";
+  EXPECT_EQ(d.allocations, 1u) << "1 fresh node";
+
+  d = steps_of([&] { ASSERT_TRUE(ms.insert(20, 3)); });
+  EXPECT_EQ(d.llx_calls, 2u);
+  EXPECT_EQ(d.scx_calls, 1u);
+  EXPECT_EQ(d.scx_fail, 0u);
+  EXPECT_EQ(d.cas, 3u) << "insert-present: k+1 CAS with k=2";
+  EXPECT_EQ(d.shared_writes, 3u) << "insert-present: f+2 writes with f=1";
+  EXPECT_EQ(d.allocations, 1u) << "1 replacement node";
+
+  d = steps_of([&] { ASSERT_EQ(ms.erase(20, 1), 1u); });
+  EXPECT_EQ(d.llx_calls, 2u);
+  EXPECT_EQ(d.scx_calls, 1u);
+  EXPECT_EQ(d.scx_fail, 0u);
+  EXPECT_EQ(d.cas, 3u) << "partial erase: k+1 CAS with k=2";
+  EXPECT_EQ(d.shared_writes, 3u) << "partial erase: f+2 writes with f=1";
+  EXPECT_EQ(d.allocations, 1u) << "1 replacement node";
+
+  d = steps_of([&] { ASSERT_EQ(ms.erase(20, 4), 4u); });
+  EXPECT_EQ(d.llx_calls, 3u);
+  EXPECT_EQ(d.scx_calls, 1u);
+  EXPECT_EQ(d.scx_fail, 0u);
+  EXPECT_EQ(d.cas, 4u) << "full erase: k+1 CAS with k=3";
+  EXPECT_EQ(d.shared_writes, 4u) << "full erase: f+2 writes with f=2";
+  EXPECT_EQ(d.allocations, 1u) << "1 successor copy";
+
+  // The last item's successor is the tail sentinel: same k=3 shape, the
+  // copy is a fresh tail.
+  d = steps_of([&] { ASSERT_EQ(ms.erase(30, 1), 1u); });
+  EXPECT_EQ(d.llx_calls, 3u);
+  EXPECT_EQ(d.cas, 4u);
+  EXPECT_EQ(d.shared_writes, 4u);
+  EXPECT_EQ(d.allocations, 1u) << "1 fresh tail";
+
+  d = steps_of([&] { ASSERT_EQ(ms.erase(20, 1), 0u); });
+  EXPECT_EQ(d.llx_calls, 1u) << "absent: LLX pred, re-read cur, decide";
+  EXPECT_EQ(d.scx_calls, 0u);
+  EXPECT_EQ(d.cas, 0u);
+  EXPECT_EQ(d.allocations, 0u);
+  Epoch::drain_all_for_testing();
+}
+
+// A zero count is an ordinary value under the container contract
+// (insert(key, value) reads it as a count here), so it must be a no-op:
+// no ⟨key, 0⟩ node that items() and range() would report while contains()
+// and size() deny it, and no SCX that replaces a node with an identical
+// one.
+TEST(Multiset, ZeroCountLeavesTheListUnchanged) {
+  LlxScxMultiset ms;
+  EXPECT_TRUE(ms.insert(7, 0));
+  EXPECT_FALSE(ms.contains(7));
+  EXPECT_EQ(ms.size(), 0u);
+  EXPECT_TRUE(ms.items().empty());
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  EXPECT_EQ(ms.range(0, 100, out), 0u);
+  EXPECT_FALSE(ms.erase(7));
+
+  ASSERT_TRUE(ms.insert(9, 2));
+  if (kStepCounting) {
+    EXPECT_EQ(steps_of([&] { EXPECT_TRUE(ms.insert(9, 0)); }).scx_calls, 0u);
+    EXPECT_EQ(steps_of([&] { EXPECT_EQ(ms.erase(9, 0), 0u); }).scx_calls, 0u);
+  } else {
+    EXPECT_TRUE(ms.insert(9, 0));
+    EXPECT_EQ(ms.erase(9, 0), 0u);
+  }
+  EXPECT_EQ(ms.get(9), 2u);
+  const auto items = ms.items();
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0], std::make_pair(std::uint64_t{9}, std::uint64_t{2}));
+  Epoch::drain_all_for_testing();
 }
 
 // The same semantic contract holds across the E2 comparison set.
