@@ -12,6 +12,10 @@
 // traverser can be blocked on the mutex of a node that a deleter has just
 // unlinked, so nodes must not be freed in place. Such waiters revalidate
 // the `removed` flag after acquiring the lock and restart.
+//
+// Both follow the LLX/SCX multiset's zero-count rule (DESIGN.md §6):
+// insert(k, 0) returns true and erase(k, 0) returns 0, with no shared
+// write and no ⟨k, 0⟩ entry.
 #pragma once
 
 #include <algorithm>
@@ -26,12 +30,14 @@ namespace llxscx {
 class CoarseMultiset {
  public:
   bool insert(std::uint64_t key, std::uint64_t count) {
+    if (count == 0) return true;
     std::lock_guard<std::mutex> lock(mu_);
     map_[key] += count;
     return true;
   }
 
   std::uint64_t erase(std::uint64_t key, std::uint64_t count) {
+    if (count == 0) return 0;
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it == map_.end()) return 0;
@@ -67,6 +73,7 @@ class FineListMultiset {
   FineListMultiset& operator=(const FineListMultiset&) = delete;
 
   bool insert(std::uint64_t key, std::uint64_t count) {
+    if (count == 0) return true;
     Epoch::Guard g;
     for (;;) {
       auto [pred, cur] = locate(key);
@@ -84,6 +91,7 @@ class FineListMultiset {
   }
 
   std::uint64_t erase(std::uint64_t key, std::uint64_t count) {
+    if (count == 0) return 0;
     Epoch::Guard g;
     for (;;) {
       auto [pred, cur] = locate(key);

@@ -45,7 +45,10 @@ class McasMultiset {
   McasMultiset(const McasMultiset&) = delete;
   McasMultiset& operator=(const McasMultiset&) = delete;
 
+  // A zero count is a no-op with no shared step, as in the LLX/SCX
+  // multiset (DESIGN.md §6): no ⟨key, 0⟩ node and no MCAS.
   bool insert(std::uint64_t key, std::uint64_t count = 1) {
+    if (count == 0) return true;
     Epoch::Guard g;
     for (;;) {
       auto [pred, cur] = locate(key);
@@ -71,6 +74,7 @@ class McasMultiset {
   }
 
   std::uint64_t erase(std::uint64_t key, std::uint64_t count = 1) {
+    if (count == 0) return 0;
     Epoch::Guard g;
     for (;;) {
       auto [pred, cur] = locate(key);

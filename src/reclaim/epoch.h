@@ -39,11 +39,13 @@
 //      an SCX only ever freezes records of the structure instance it
 //      operates on, so helpers encounter a shard's records strictly while
 //      running under that shard's scope.
-//   3. Domain states are pooled and leaked, never deleted: threads cache a
-//      per-domain handle, and worker threads' handle destructors may run
-//      during process teardown. Destroying a Domain drains it and returns
-//      its state to the pool for the next Domain; destroy it only after
-//      all guards taken under it are gone.
+//   3. Domain states are pooled and leaked, never deleted: each state
+//      takes a dense index at construction, threads keep their per-domain
+//      handles in a table indexed by it, and worker threads' handle
+//      destructors may run during process teardown. Destroying a Domain
+//      drains it and returns its state (index and all) to the pool for the
+//      next Domain; destroy it only after all guards taken under it are
+//      gone.
 #pragma once
 
 #include <atomic>
@@ -85,28 +87,50 @@ class Epoch {
   // every pinned thread bounds how far ITS domain's limbo lists can
   // drain (other domains are unaffected — that independence is pinned by
   // test_sharded_map).
+  //
+  // Cost: one indexed thread-local lookup and, for the outermost guard, one
+  // locked instruction (the entry fence). The constructor, destructor and
+  // lookup are always_inline, so no call site's inlining depends on how
+  // much of the compiler's unit-growth budget the rest of its translation
+  // unit used up.
   class Guard {
    public:
-    Guard() : h_(&handle()) {
+    // Ordering (DESIGN.md §2; C++20 [atomics.order]/4, S the single total
+    // order of seq_cst operations). The reservation store is not seq_cst;
+    // the fence F after it is what orders it. Let L be a load under this
+    // guard, U the update that unlinked some node n, and F_W the fence
+    // retire_raw runs after U (U happens before F_W) and before its
+    // seq_cst load stamps n with epoch e. A scan frees n only after its
+    // seq_cst load M of this reservation returned kIdle or a value > e:
+    //   - M read a value older than our store: by (4.2) M precedes F in S,
+    //     and F_W precedes M (the scanned retire happened before the
+    //     scan), so F_W precedes F;
+    //   - M read our value g > e: the stamp's load of `global` read an
+    //     older value than ours, so by (4.1) it precedes ours in S, and
+    //     again F_W precedes F.
+    // Had L read n's link before U, (4.4) would put F before F_W; so L
+    // sees the unlink. Both the fence and F_W are needed: under relaxed
+    // orders U is only a release CAS, outside S. The store is release so
+    // that a scan which reads a LATER guard's reservation still
+    // synchronizes with everything this guard read ([intro.races]: a
+    // relaxed store would end the release sequence our exit store heads);
+    // on x86 both compile to a plain mov. None of these orders follows
+    // LLXSCX_RELAXED_ORDERS: each is already the weakest the argument
+    // allows.
+    [[gnu::always_inline]] Guard() : h_(&handle()) {
       if (h_->depth++ == 0) {
         h_->rec->reservation.store(
             h_->st->global.load(std::memory_order_seq_cst),
-            std::memory_order_seq_cst);
-        // Deliberately seq_cst and NOT behind LLXSCX_RELAXED_ORDERS: the
-        // reservation publication needs a StoreLoad edge against the
-        // scanner's reservation read, and the structure traversals this
-        // guard protects use acquire loads — a seq_cst STORE alone does
-        // not order a later plain acquire load after it (on RCpc
-        // hardware, e.g. AArch64 LDAPR, the load can be satisfied before
-        // the store is visible, letting the scanner miss the reservation
-        // and free what the traversal reads). The full fence is what
-        // pins every subsequent load after the publication.
+            std::memory_order_release);
         std::atomic_thread_fence(std::memory_order_seq_cst);
       }
     }
-    ~Guard() {
+    // release: a scan whose seq_cst load reads kIdle synchronizes with
+    // this store, so everything the guard read happens before what the
+    // scan then frees.
+    [[gnu::always_inline]] ~Guard() {
       if (--h_->depth == 0) {
-        h_->rec->reservation.store(kIdle, std::memory_order_seq_cst);
+        h_->rec->reservation.store(kIdle, std::memory_order_release);
       }
     }
     Guard(const Guard&) = delete;
@@ -182,6 +206,9 @@ class Epoch {
   static void retire_raw(void* p, void (*del)(void*)) {
     Handle& h = handle();
     State& s = *h.st;
+    // F_W of Guard's ordering argument: the unlink happens before this
+    // fence, and the fence precedes the stamp's load in S.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     const std::uint64_t e = s.global.load(std::memory_order_seq_cst);
     {
       SpinLock lock(h.rec->mu);
@@ -237,18 +264,27 @@ class Epoch {
     std::atomic_flag& f_;
   };
 
+  static inline std::atomic<std::size_t> state_count{0};
+
+  // One line each for what every guard entry reads (`global`, and the
+  // `index` every lookup reads), what every retire writes (the counters)
+  // and what scans and registrations lock (the registry), so retiring
+  // threads never take the line every reader needs.
   struct State {
-    std::atomic<std::uint64_t> global{1};
-    std::atomic<std::uint64_t> total_freed{0};
+    alignas(64) std::atomic<std::uint64_t> global{1};
+    // Dense and never reused: states are never deleted (rule 3).
+    const std::size_t index =
+        state_count.fetch_add(1, std::memory_order_relaxed);
+    alignas(64) std::atomic<std::uint64_t> total_freed{0};
     std::atomic<std::uint64_t> outstanding{0};
-    std::mutex registry_mu;
+    alignas(64) std::mutex registry_mu;
     std::vector<ThreadRec*> recs;       // all ever created; never deallocated
     std::vector<ThreadRec*> free_recs;  // records whose owner thread exited
   };
 
   // One per (thread, domain): the thread's rec in that domain's registry
-  // plus its guard depth and retire cadence there. Cached in a small
-  // thread-local table so repeated scope switches don't re-register.
+  // plus its guard depth and retire cadence there. Kept in a thread-local
+  // table indexed by State::index, so scope switches never re-register.
   // Padded to its own line: every guard writes `depth` twice, and a
   // recycled node block beside it would be a record other threads read
   // (unpadded, 2-thread point-read trials ran up to ~45 % slower).
@@ -279,7 +315,7 @@ class Epoch {
 
   // Leaked singletons: worker threads' Handle destructors may run during
   // process teardown, after static destruction would have torn these down.
-  static State& default_state() {
+  [[gnu::always_inline]] static State& default_state() {
     static State* s = new State;
     return *s;
   }
@@ -309,34 +345,36 @@ class Epoch {
     pool.free_states.push_back(s);
   }
 
-  static State*& tls_state() {
+  [[gnu::always_inline]] static State*& tls_state() {
     thread_local State* cur = nullptr;
     return cur;
   }
-  static State& current_state() {
+  [[gnu::always_inline]] static State& current_state() {
     State* cur = tls_state();
     return cur ? *cur : default_state();
   }
 
-  static Handle& handle() {
-    // unique_ptr, not Handle by value: growth must not move live Handles
-    // (outstanding Guards hold raw Handle*).
-    struct Handles {
-      std::vector<std::unique_ptr<Handle>> v;
-      Handle* last = nullptr;  // single-entry cache: scope switches are rare
-    };
-    thread_local Handles hs;
-    State* st = &current_state();
-    if (hs.last != nullptr && hs.last->st == st) return *hs.last;
-    for (const auto& h : hs.v) {
-      if (h->st == st) {
-        hs.last = h.get();
-        return *hs.last;
-      }
+  // The thread's handles by State::index. unique_ptr, not Handle by value:
+  // growth must not move live Handles (outstanding Guards hold raw
+  // Handle*).
+  using HandleTable = std::vector<std::unique_ptr<Handle>>;
+
+  [[gnu::always_inline]] static Handle& handle() {
+    thread_local HandleTable hs;
+    State& st = current_state();
+    if (st.index < hs.size()) {
+      if (Handle* h = hs[st.index].get()) [[likely]] return *h;
     }
-    hs.v.push_back(std::make_unique<Handle>(st));
-    hs.last = hs.v.back().get();
-    return *hs.last;
+    return register_handle(hs, st);
+  }
+
+  // The thread's first guard or retire in a domain: out of line, so the
+  // hit path above stays small.
+  [[gnu::noinline]] static Handle& register_handle(HandleTable& hs,
+                                                   State& st) {
+    if (hs.size() <= st.index) hs.resize(st.index + 1);
+    hs[st.index] = std::make_unique<Handle>(&st);
+    return *hs[st.index];
   }
 
   static std::vector<ThreadRec*> all_recs(State& s) {

@@ -11,9 +11,11 @@
 // algorithm.
 //
 // Accesses NOT routed through these constants are deliberate:
-//   - reclaim/epoch.h keeps its reservation publication seq_cst (it needs
-//     a StoreLoad edge against the scanner's reservation read that
-//     acquire/release cannot express),
+//   - reclaim/epoch.h publishes a reservation with a release store and
+//     then one seq_cst fence, and fences again in retire_raw before it
+//     stamps a record: the StoreLoad edge against the scanner's
+//     reservation read that acquire/release cannot express (DESIGN.md §2
+//     gives the argument; no weaker order works there),
 //   - node constructors store their fields relaxed (published wholesale by
 //     the committing SCX's release update-CAS),
 //   - baselines/ stay seq_cst (they are step-count comparators, not

@@ -201,6 +201,23 @@ void check_common_semantics() {
   EXPECT_EQ(ms.erase(7, 5), 1u);
   EXPECT_EQ(ms.erase(7, 1), 0u);
   EXPECT_EQ(ms.get(3), 1u);
+
+  // The zero-count rule (DESIGN.md §6), on an absent and a present key: no
+  // ⟨7, 0⟩ entry for the erase of 7 to remove, and no CAS or allocation.
+  // (The lock-based types count no steps; the pin bites on the others.)
+  const StepCounts zero = steps_of([&] {
+    EXPECT_TRUE(ms.insert(7, 0));
+    EXPECT_EQ(ms.erase(7, 0), 0u);
+    EXPECT_EQ(ms.erase(7, 1), 0u);
+    EXPECT_TRUE(ms.insert(3, 0));
+    EXPECT_EQ(ms.erase(3, 0), 0u);
+  });
+  if (kStepCounting) {
+    EXPECT_EQ(zero.cas, 0u);
+    EXPECT_EQ(zero.allocations, 0u);
+  }
+  EXPECT_EQ(ms.get(7), 0u);
+  EXPECT_EQ(ms.get(3), 1u);
 }
 
 TEST(Multiset, McasImplementationSemantics) {
