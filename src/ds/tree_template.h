@@ -185,47 +185,78 @@ class TreeTemplate {
   // shared reads = one per descended edge + three per interior node
   // (witness info + state, VLX) — pinned exactly in test_range.
   //
+  // The walk is a depth-first descent that never sends a left child
+  // through its stack. At an interior node, witnessed before either child
+  // is read, an in-window left child that is interior is stepped into in
+  // place, with the in-window right child parked on the stack; a left
+  // child that is a leaf is emitted on the spot and the walk steps on to
+  // the right child; with no left child in the window it steps straight
+  // to the right child. A node's left subtree is thus done before its
+  // right child is reached, so leaves come out in ascending key order.
   // Pruning is the engine's scan_dir(n, dir, lo, hi) hook: may the dir
   // subtree of n intersect [lo, hi]? It reads only immutable routing
   // fields, so pruning costs no shared reads.
   //
-  // The witness set and the DFS stack live in per-thread buffers, cleared
-  // on each attempt, so a warm call touches no heap when `out` has room
-  // (pinned in test_range). They keep their high-water capacity: the
-  // largest window this thread has scanned (the same policy as
-  // ShardedMap's batch Scratch, DESIGN.md §14). Nothing reached from
-  // range — witness, detail_help, vlx — may re-enter it on the same
+  // The witness set and the right-child stack live in per-thread
+  // buffers, cleared on each attempt, so a warm call touches no heap when
+  // `out` has room (pinned in test_range). They keep their high-water
+  // capacity: the largest window this thread has scanned (the same
+  // policy as ShardedMap's batch Scratch, DESIGN.md §14). Nothing reached
+  // from range — witness, detail_help, vlx — may re-enter it on the same
   // thread.
   std::size_t range(std::uint64_t lo, std::uint64_t hi,
                     std::vector<std::pair<std::uint64_t, std::uint64_t>>& out)
       const {
+    static_assert(Node::kNumMut == 2, "range() walks binary trees");
     if (lo > hi) return 0;
     Epoch::Guard g;
     const std::size_t base = out.size();
     ScanBuffers& sb = scan_buffers();
     std::vector<LinkedLlx>& w = sb.w;
     std::vector<const Node*>& stack = sb.stack;
+    // The in-window dir child of interior p, or nullptr when pruned.
+    const auto child = [&](const Node* p, std::size_t dir) -> const Node* {
+      return Derived::scan_dir(p, dir, lo, hi) ? read_child(p, dir) : nullptr;
+    };
+    // Leaf payload is immutable; reachability is the parent witness's
+    // job. No witness needed.
+    const auto emit = [&](const Node* leaf) {
+      if (!self().is_user_leaf(leaf)) return;
+      const std::uint64_t k = Derived::key_of(leaf);
+      if (k >= lo && k <= hi) out.emplace_back(k, Derived::value_of(leaf));
+    };
     for (;;) {
       out.resize(base);
       w.clear();
       stack.clear();
-      bool restart = !push_scan_children(self().root_ptr(), lo, hi, w, stack);
-      while (!restart && !stack.empty()) {
-        const Node* n = stack.back();
-        stack.pop_back();
+      const Node* n = self().root_ptr();
+      for (;;) {
         if (Derived::is_leaf(n)) {
-          // Leaf payload is immutable; reachability is the parent
-          // witness's job. No witness needed.
-          if (self().is_user_leaf(n)) {
-            const std::uint64_t k = Derived::key_of(n);
-            if (k >= lo && k <= hi) out.emplace_back(k, Derived::value_of(n));
+          emit(n);
+        } else {
+          if (!witness(n, w)) break;  // helped an in-progress SCX: restart
+          const Node* r = child(n, Node::kRight);
+          const Node* l = child(n, Node::kLeft);
+          if (l != nullptr) {
+            if (!Derived::is_leaf(l)) {
+              if (r != nullptr) stack.push_back(r);
+              n = l;
+              continue;
+            }
+            emit(l);
           }
-          continue;
+          if (r != nullptr) {
+            n = r;
+            continue;
+          }
         }
-        restart = !push_scan_children(n, lo, hi, w, stack);
+        if (stack.empty()) {
+          if (vlx(w.data(), w.size())) return out.size() - base;
+          break;  // a witness moved: restart
+        }
+        n = stack.back();
+        stack.pop_back();
       }
-      if (restart) continue;
-      if (vlx(w.data(), w.size())) return out.size() - base;
     }
   }
 
@@ -483,20 +514,6 @@ class TreeTemplate {
     return true;
   }
 
-  // range() helper: witness interior node n, then push its unpruned
-  // children right-to-left so the stack pops them in ascending key order.
-  // Returns false when the witness failed (caller restarts the walk).
-  bool push_scan_children(const Node* n, std::uint64_t lo, std::uint64_t hi,
-                          std::vector<LinkedLlx>& w,
-                          std::vector<const Node*>& stack) const {
-    if (!witness(n, w)) return false;
-    for (std::size_t c = Node::kNumMut; c-- > 0;) {
-      if (!Derived::scan_dir(n, c, lo, hi)) continue;  // immutable-field test
-      if (const Node* child = read_child(n, c)) stack.push_back(child);
-    }
-    return true;
-  }
-
   // Quiescent teardown for the Derived destructor (retired-but-undrained
   // nodes are the policy's).
   void destroy_all() {
@@ -539,7 +556,7 @@ class TreeTemplate {
     return Derived::is_leaf(n) && self().is_user_leaf(n);
   }
 
-  // range()'s per-thread witness set and DFS stack.
+  // range()'s per-thread witness set and right-child stack.
   struct ScanBuffers {
     std::vector<LinkedLlx> w;
     std::vector<const Node*> stack;

@@ -163,10 +163,10 @@ class ShardedMap {
   //
   // Both verbs group ops by shard with ONE shard_for hash per key, then
   // serve each shard's group under a single DomainScope + epoch Guard
-  // instead of one per op: the seq_cst reservation store + full fence of
-  // guard entry — the dominant fixed cost of a sharded lookup — amortizes
-  // across the group, and the engine's multi_get (interleaved prefetching
-  // traversals where implemented) overlaps the group's cache misses.
+  // instead of one per op: guard entry's reservation store and seq_cst
+  // fence (DESIGN.md §2) amortize across the group, and the engine's
+  // multi_get (interleaved prefetching traversals where implemented)
+  // overlaps the group's cache misses.
   //
   // Grouping is a stable counting sort, so ops on the SAME key (same
   // shard by construction) keep their batch-relative order; ops on
@@ -234,14 +234,16 @@ class ShardedMap {
   // under its own DomainScope + Guard, appending its slice (ascending by
   // contract) to one flat per-thread buffer, and the slice boundaries are
   // recorded. The k = 2^shard_bits runs then pair up evenly at every
-  // level: log2(k) levels of branchless two-way merges ping-pong between
-  // that buffer and a second one, and the last level writes straight
-  // into `out` (k = 1 has no level: its one slice lands in `out`). The
-  // result is ascending and duplicate-free because the shards partition
-  // the key space. Consistency is per shard (each slice is one shard's
-  // range guarantee, VLX-validated on the trees); the merge of slices
+  // level: log2(k) levels of branchless two-way merges, each run from
+  // both ends at once (merge_runs), ping-pong between that buffer and a
+  // second one, and the last level writes straight into `out` (k = 1 has
+  // no level: its one slice lands in `out`). The result is ascending and
+  // duplicate-free because the shards partition the key space, which is
+  // also what makes the two-ended merge exact. Consistency is per shard
+  // (each slice is one shard's range guarantee, VLX-validated on the
+  // trees, with the engine's per-attempt read cost); the merge of slices
   // taken at different instants is NOT a cross-shard snapshot, same as
-  // size().
+  // size(). The merge itself adds no shared read.
   //
   // Both buffers live in the thread's Scratch and keep their high-water
   // capacity (the largest window this thread has merged), so a warm call
@@ -409,21 +411,36 @@ class ShardedMap {
     return container_range(*sh.engine, lo, hi, out);
   }
 
-  // Merges the ascending runs src[i, m) and src[m, e) into dst from
-  // position d. Each step selects its source by index rather than
+  // Merges the ascending runs src[i, m) and src[m, e) into dst[d, d+e−i)
+  // from both ends at once: each round the front moves the smaller of the
+  // two run heads to dst's front and the back moves the larger of the two
+  // run tails to dst's back, so the two selects form independent
+  // dependency chains. Each step selects its source by index rather than
   // branching on the comparison, which is a coin flip on interleaved
-  // shard slices.
+  // shard slices. Rounds run while both runs still hold pairs; then the
+  // one run left is copied into the gap between the two ends.
+  //
+  // Exact because the runs share no key (a key routes to one shard): when
+  // the front takes a run's last remaining pair, that pair was smaller
+  // than the other run's head, hence than its tail, so the back step of
+  // the same round compares against it and never takes it again.
   static void merge_runs(const RangeOut& src, std::size_t i, std::size_t m,
                          std::size_t e, RangeOut& dst, std::size_t d) {
-    std::size_t j = m;
-    while (i < m && j < e) {
+    std::size_t j = m;             // front heads: src[i], src[j]
+    std::size_t ie = m, je = e;    // back tails: src[ie − 1], src[je − 1]
+    std::size_t de = d + (e - i);  // dst's back, exclusive
+    while (i < ie && j < je) {
       const bool right = src[j].first < src[i].first;
       dst[d++] = src[right ? j : i];
       j += right;
       i += !right;
+      const bool left = src[je - 1].first < src[ie - 1].first;
+      dst[--de] = src[left ? ie - 1 : je - 1];
+      ie -= left;
+      je -= !left;
     }
-    while (i < m) dst[d++] = src[i++];
-    while (j < e) dst[d++] = src[j++];
+    while (i < ie) dst[d++] = src[i++];
+    while (j < je) dst[d++] = src[j++];
   }
 
   // Stable counting sort of op indices [0, n) by shard: one shard_for

@@ -4,7 +4,8 @@
 //   - range() on the trees is read-pure: 0 LLX, 0 CAS, 0 shared writes,
 //     0 record allocations (StepCounts.allocations) per clean attempt —
 //     the walk plus its VLX witnesses are the WHOLE cost (for the BST's
-//     known right-chain shape the shared-read count is pinned EXACTLY);
+//     known right-chain and left-chain shapes the shared-read count is
+//     pinned EXACTLY);
 //   - a warm range() calls operator new zero times, on a bare tree and
 //     through ShardedMap's slice merge (per-thread buffers; `out`
 //     reserved by the caller) — counted by the replacement operator new
@@ -79,21 +80,40 @@ using Pair = std::pair<std::uint64_t, std::uint64_t>;
 //   final VLX         1 read per witness = N+1
 // total = 2(N+1) + 2N + (N+1) = 5N + 3. Leaves cost nothing (payloads are
 // immutable; their reachability is covered by the parent's witness).
+//
+// Inserting N..1 builds the mirror left chain: internal(N..2) chaining
+// left, leaf k the right child of internal(k), leaf 1 under internal(2).
+// The same N+1 internals, 2N edges and N+1 VLX reads make it 5N + 3 too.
+// The two chains take the walk's two paths: on the left chain it steps
+// into every interior left child in place and parks each leaf right
+// child on its stack; on the right chain every left child is a leaf,
+// which it emits on the spot before stepping to the right child, so the
+// stack stays empty.
 TEST(RangeShape, BstScanReadsPinnedExactly) {
   if constexpr (!kStepCounting) {
     GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
   } else {
     constexpr std::uint64_t kN = 64;
-    LlxScxBst t;
-    for (std::uint64_t k = 1; k <= kN; ++k) ASSERT_TRUE(t.insert(k, k));
-    std::vector<Pair> out;
-    const StepCounts s = steps_of([&] { t.range(1, kN, out); });
-    EXPECT_EQ(out.size(), kN);
-    EXPECT_EQ(s.shared_reads, 5 * kN + 3) << "walk + witnesses + VLX only";
-    EXPECT_EQ(s.llx_calls, 0u);
-    EXPECT_EQ(s.cas, 0u);
-    EXPECT_EQ(s.shared_writes, 0u);
-    EXPECT_EQ(s.allocations, 0u);
+    for (const bool ascending : {true, false}) {
+      const char* chain = ascending ? "right chain" : "left chain";
+      LlxScxBst t;
+      for (std::uint64_t i = 1; i <= kN; ++i) {
+        const std::uint64_t k = ascending ? i : kN + 1 - i;
+        ASSERT_TRUE(t.insert(k, k));
+      }
+      std::vector<Pair> out;
+      const StepCounts s = steps_of([&] { t.range(1, kN, out); });
+      ASSERT_EQ(out.size(), kN) << chain;
+      for (std::uint64_t k = 1; k <= kN; ++k) {
+        EXPECT_EQ(out[k - 1], (Pair{k, k})) << chain;
+      }
+      EXPECT_EQ(s.shared_reads, 5 * kN + 3)
+          << chain << ": walk + witnesses + VLX only";
+      EXPECT_EQ(s.llx_calls, 0u) << chain;
+      EXPECT_EQ(s.cas, 0u) << chain;
+      EXPECT_EQ(s.shared_writes, 0u) << chain;
+      EXPECT_EQ(s.allocations, 0u) << chain;
+    }
   }
 }
 

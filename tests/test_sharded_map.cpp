@@ -3,8 +3,9 @@
 // cross-shard size() consistency under real contention, the per-shard
 // epoch INDEPENDENCE property the whole layer exists for (a guard pinned
 // on shard A must not stop shard B from draining), the degenerate
-// all-traffic-on-one-shard regime, range()'s slice merge at every width,
-// a recycling engine draining under the front-end, and the steps_of
+// all-traffic-on-one-shard regime, range()'s slice merge at every width
+// and on router-shaped slices (blocks, alternation, one shard), a
+// recycling engine draining under the front-end, and the steps_of
 // aggregation story (routing adds zero shared steps).
 #include <gtest/gtest.h>
 
@@ -247,6 +248,86 @@ TEST(ShardedMap, RangeMergesEveryWidthLikeTheOracle) {
                            << "]";
     }
   }
+}
+
+// Test routers that shape the slices range() merges; hash routing reaches
+// these shapes only by chance. Each maps a key to a shard of the map's
+// 2^shard_bits, whatever that width.
+//
+// Shard s owns the keys [16s, 16s + 15] and the last shard everything
+// above: slices never interleave, so each merge is a concatenation.
+struct BlockSplitter {
+  std::size_t operator()(std::uint64_t key, std::size_t shard_bits) const {
+    const std::uint64_t last = (std::uint64_t{1} << shard_bits) - 1;
+    return static_cast<std::size_t>(key / 16 < last ? key / 16 : last);
+  }
+};
+// Consecutive keys alternate shards: every merge step switches runs.
+struct AlternatingSplitter {
+  std::size_t operator()(std::uint64_t key, std::size_t shard_bits) const {
+    const std::uint64_t mask = (std::uint64_t{1} << shard_bits) - 1;
+    return static_cast<std::size_t>(key & mask);
+  }
+};
+// Every key on the last shard: every other slice is empty.
+struct LastShardSplitter {
+  std::size_t operator()(std::uint64_t, std::size_t shard_bits) const {
+    return (std::size_t{1} << shard_bits) - 1;
+  }
+};
+
+// range() merges each pair of runs from both ends at once, and the two
+// ends meet wherever the runs' sizes and interleaving put them. Every
+// window from [lo, lo] to [lo, lo + 40] for lo in 0..40, plus windows at
+// the top of the user key space, must match a std::set oracle at widths 2
+// and 4 under each router. The keys 1..100 skip multiples of 7, so the
+// windows' totals are 0, 1, 2 and many odd and even counts.
+template <class Split>
+void expect_shaped_slices_merge_like_the_oracle(const char* router) {
+  constexpr std::uint64_t kTop = LlxScxChromatic::kInf1 - 1;
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  for (const std::size_t width : {2u, 4u}) {
+    ShardedMap<LlxScxChromatic, Split> m(width);
+    ASSERT_EQ(m.shard_count(), width);
+    std::set<std::uint64_t> oracle;
+    for (std::uint64_t k = 1; k <= 100; ++k) {
+      if (k % 7 != 0) oracle.insert(k);
+    }
+    for (std::uint64_t k = kTop - 2; k <= kTop; ++k) oracle.insert(k);
+    for (const std::uint64_t k : oracle) ASSERT_TRUE(m.insert(k, k ^ 0x5A));
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> windows = {
+        {kTop, kTop},     {kTop, kMax}, {kTop - 1, kTop}, {kTop - 2, kMax},
+        {90, kTop},       {0, kMax},    {101, kTop - 3},  {60, 59}};
+    for (std::uint64_t lo = 0; lo <= 40; ++lo) {
+      for (std::uint64_t len = 0; len <= 40; ++len) {
+        windows.emplace_back(lo, lo + len);
+      }
+    }
+    bool seen[5] = {};  // totals 0, 1, 2, even > 2, odd > 2
+    RangeOut got;
+    for (const auto& [lo, hi] : windows) {
+      RangeOut want;
+      for (auto it = oracle.lower_bound(lo);
+           lo <= hi && it != oracle.end() && *it <= hi; ++it) {
+        want.emplace_back(*it, *it ^ 0x5A);
+      }
+      const std::size_t n = want.size();
+      seen[n <= 2 ? n : 3 + n % 2] = true;
+      got.clear();
+      EXPECT_EQ(m.range(lo, hi, got), n)
+          << router << " width " << width << " [" << lo << ", " << hi << "]";
+      EXPECT_EQ(got, want)
+          << router << " width " << width << " [" << lo << ", " << hi << "]";
+    }
+    for (const bool s : seen) EXPECT_TRUE(s) << router << " width " << width;
+  }
+}
+
+TEST(ShardedMap, TwoEndedMergeMatchesTheOracleOnShapedSlices) {
+  expect_shaped_slices_merge_like_the_oracle<BlockSplitter>("block");
+  expect_shaped_slices_merge_like_the_oracle<AlternatingSplitter>(
+      "alternating");
+  expect_shaped_slices_merge_like_the_oracle<LastShardSplitter>("last shard");
 }
 
 // Every shard's retired nodes drain to zero through its own domain while
