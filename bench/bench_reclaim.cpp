@@ -14,11 +14,16 @@
 //           node per removal (SCX descriptors are per-thread slots, so a
 //           leaked node pins nothing else)
 //
+// allocs, pool hits and leaked are the workers' StepCounts, so they read
+// zero in a -DLLXSCX_COUNT_STEPS=OFF build; freed and limbo come from the
+// epoch domain and are exact in every build.
+//
 // --json=<file> additionally emits the table as machine-readable JSON
 // (one object per row plus the build configuration), so successive
 // changes can track a BENCH_*.json perf trajectory.
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -47,13 +52,11 @@ CellResult run_cell(int threads) {
   CellResult res;
   res.threads = threads;
   res.mode = Reclaim::kName;
-  std::vector<ReclaimStats> rstats(threads);
   {
     BasicLlxScxMultiset<Reclaim> ms;
     constexpr std::uint64_t kRange = 64;  // small: constant full-erase churn
     const auto r = bench::run_phase(
         threads, [&](int t, const std::atomic<bool>& stop) -> std::uint64_t {
-          const ReclaimStats before = Reclaim::stats();
           Xoshiro256 rng(900 + t);
           std::uint64_t ops = 0;
           while (!stop.load(std::memory_order_relaxed)) {
@@ -65,20 +68,19 @@ CellResult run_cell(int threads) {
             }
             ++ops;
           }
-          rstats[t] = Reclaim::stats() - before;
           return ops;
         });
+    // The workers' summed steps: what the policy cost the measured phase
+    // (the drain below recycles on this thread, outside it). The leaky
+    // policy's retires are its leaks.
     res.ops_per_sec = r.ops_per_sec();
     res.allocations = r.steps.allocations;
+    res.pool_hits = r.steps.pool_hits;
+    if constexpr (std::is_same_v<Reclaim, LeakyManager>) {
+      res.leaked = r.steps.retires;
+    }
   }
   Reclaim::drain();
-  // Pool hits land on the freeing thread too (the drain above recycles on
-  // this one), but the per-worker deltas are what the policy cost the
-  // measured phase.
-  for (const ReclaimStats& s : rstats) {
-    res.pool_hits += s.pool_hits;
-    res.leaked += s.leaked;
-  }
   res.freed = Epoch::total_freed() - freed_before;
   res.outstanding_after_drain = Epoch::outstanding();
   return res;
@@ -113,7 +115,7 @@ bool run(const char* json_path) {
   std::vector<CellResult> cells;
   bench::Table t({"threads", "mode", "ops/s", "allocs", "freed via EBR",
                   "in limbo after drain", "pool hits", "leaked"});
-  for (int threads : bench::thread_grid({1, 4})) {
+  for (int threads : bench::thread_grid({1, 2, 4})) {
     cells.push_back(run_cell<EbrManager>(threads));
     cells.push_back(run_cell<LeakyManager>(threads));
   }

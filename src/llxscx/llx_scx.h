@@ -164,7 +164,7 @@ inline std::size_t detail_my_scx_slot() {
 // Non-template base so SCX-records and helpers handle records of any width.
 class DataRecordBase {
  public:
-  DataRecordBase() { Stats::count_alloc(); }
+  DataRecordBase() = default;
   DataRecordBase(const DataRecordBase&) = delete;
   DataRecordBase& operator=(const DataRecordBase&) = delete;
 

@@ -285,7 +285,9 @@ class ScxOp {
     return false;
   }
 
-  void delete_fresh() {
+  // The abort path, out of line so that commit() and the destructor stay
+  // small enough to inline into every shape.
+  [[gnu::noinline]] void delete_fresh() {
     // Reverse order: later fresh nodes may point at earlier ones, but
     // nodes own nothing, so either order is safe; reverse mirrors
     // construction for readability. dealloc: these were never published,

@@ -56,6 +56,19 @@
 
 namespace llxscx {
 
+// One domain's reclamation counts, as Epoch::Domain and
+// ShardedMap::for_each_shard report them. `outstanding` counts records
+// retired in the domain that no scan has yet taken off a limbo list;
+// `freed` is the domain's lifetime count of records its scans took. Both
+// are summed over the domain's thread records by one cold walk
+// (Epoch::counts), so nothing on the guard, retire or scan path writes a
+// domain-wide counter. Exact only when the domain is quiescent, same
+// contract as container size().
+struct DomainReclaimStats {
+  std::uint64_t outstanding = 0;
+  std::uint64_t freed = 0;
+};
+
 class Epoch {
   struct State;   // forward: nested classes below hold State*
   struct Handle;  // forward: Guard stores its resolved Handle*
@@ -160,12 +173,8 @@ class Epoch {
     // caveats as drain_all_for_testing, scoped to this domain).
     void drain() const { drain_state(*st_); }
 
-    std::uint64_t outstanding() const {
-      return st_->outstanding.load(std::memory_order_relaxed);
-    }
-    std::uint64_t total_freed() const {
-      return st_->total_freed.load(std::memory_order_relaxed);
-    }
+    std::uint64_t outstanding() const { return counts(*st_).outstanding; }
+    std::uint64_t total_freed() const { return counts(*st_).freed; }
 
    private:
     friend class Epoch;
@@ -214,7 +223,6 @@ class Epoch {
       SpinLock lock(h.rec->mu);
       h.rec->limbo.push_back({p, del, e});
     }
-    s.outstanding.fetch_add(1, std::memory_order_relaxed);
     if (++h.retires_since_scan >= kScanPeriod) {
       h.retires_since_scan = 0;
       s.global.fetch_add(1, std::memory_order_seq_cst);
@@ -229,11 +237,9 @@ class Epoch {
   // on the same domain.
   static void drain_all_for_testing() { drain_state(current_state()); }
 
-  static std::uint64_t total_freed() {
-    return current_state().total_freed.load(std::memory_order_relaxed);
-  }
+  static std::uint64_t total_freed() { return counts(current_state()).freed; }
   static std::uint64_t outstanding() {
-    return current_state().outstanding.load(std::memory_order_relaxed);
+    return counts(current_state()).outstanding;
   }
 
  private:
@@ -250,6 +256,7 @@ class Epoch {
     std::atomic<std::uint64_t> reservation{kIdle};
     std::atomic_flag mu = ATOMIC_FLAG_INIT;
     std::vector<Retired> limbo;  // guarded by mu
+    std::uint64_t freed = 0;     // taken off limbo by scans; guarded by mu
   };
 
   class SpinLock {
@@ -266,17 +273,15 @@ class Epoch {
 
   static inline std::atomic<std::size_t> state_count{0};
 
-  // One line each for what every guard entry reads (`global`, and the
-  // `index` every lookup reads), what every retire writes (the counters)
-  // and what scans and registrations lock (the registry), so retiring
-  // threads never take the line every reader needs.
+  // One line for what every guard entry reads (`global`, and the `index`
+  // every lookup reads) and one for what scans, registrations and the
+  // counts walk lock (the registry), so scanning threads never take the
+  // line every reader needs.
   struct State {
     alignas(64) std::atomic<std::uint64_t> global{1};
     // Dense and never reused: states are never deleted (rule 3).
     const std::size_t index =
         state_count.fetch_add(1, std::memory_order_relaxed);
-    alignas(64) std::atomic<std::uint64_t> total_freed{0};
-    std::atomic<std::uint64_t> outstanding{0};
     alignas(64) std::mutex registry_mu;
     std::vector<ThreadRec*> recs;       // all ever created; never deallocated
     std::vector<ThreadRec*> free_recs;  // records whose owner thread exited
@@ -400,7 +405,8 @@ class Epoch {
   }
 
   // Moves `rec`'s expired nodes out under its lock into the scanning
-  // thread's reused buffer, then frees them with no lock held.
+  // thread's reused buffer, counting them in `rec->freed`, then frees them
+  // with no lock held.
   static void scan_one(State& s, ThreadRec* rec) {
     const std::uint64_t min_res = min_reservation(s);
     thread_local std::vector<Retired> expired;
@@ -416,10 +422,24 @@ class Epoch {
         }
       }
       rec->limbo.erase(split, rec->limbo.end());
+      rec->freed += expired.size();
     }
     for (const Retired& r : expired) r.del(r.p);
-    s.outstanding.fetch_sub(expired.size(), std::memory_order_relaxed);
-    s.total_freed.fetch_add(expired.size(), std::memory_order_relaxed);
+  }
+
+  // The counts walk: every thread record's limbo size and scan-freed
+  // count, each read under the record's lock. Cold and out of line: only
+  // quiescent reads call it, and where GCC 12 inlines it, it reports a
+  // false -Wmaybe-uninitialized on a caller's std::optional<Guard>.
+  [[gnu::cold, gnu::noinline]] static DomainReclaimStats counts(State& s) {
+    DomainReclaimStats c;
+    std::lock_guard<std::mutex> lock(s.registry_mu);
+    for (ThreadRec* rec : s.recs) {
+      SpinLock rec_lock(rec->mu);
+      c.outstanding += rec->limbo.size();
+      c.freed += rec->freed;
+    }
+    return c;
   }
 };
 

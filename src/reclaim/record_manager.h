@@ -21,9 +21,11 @@
 //                       aborted op's fresh allocation, or quiescent
 //                       teardown): no grace period needed.
 //   M::drain()          test/teardown: reclaim everything reclaimable.
-//   M::stats()          this thread's ReclaimStats (plain thread-local
-//                       counters — no shared steps, so policy accounting
-//                       never perturbs the pinned SCX step shapes).
+//
+// Policies count what they allocate (`allocations`), serve from a bank
+// (`pool_hits`) and retire (`retires`) in the thread's StepCounts
+// (util/stats.h): thread-local, never a shared step, and compiled out
+// with every other counter under LLXSCX_COUNT_STEPS=OFF.
 //
 // There is no policy guard: every structure takes an Epoch::Guard, and
 // the policies differ only in what retire() does — even the leaky one's
@@ -34,7 +36,7 @@
 // walk — otherwise one reader stalls all reclamation (pinned by
 // test_record_manager's walk-does-not-block-drain case). Limbo accounting
 // lives in the epoch domain too (Epoch::outstanding(), Epoch::Domain): it
-// counts every node the ebr policy retired and not yet freed.
+// counts every node the ebr policy retired and no scan has yet taken.
 //
 // The contract a policy must honor for the LLX/SCX proofs to survive is
 // written out in DESIGN.md §10; the short form: an address handed to
@@ -46,12 +48,12 @@
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <utility>
 #include <vector>
 
 #include "reclaim/epoch.h"
+#include "util/stats.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 // AddressSanitizer's poisoning entry points, as <sanitizer/asan_interface.h>
@@ -65,44 +67,6 @@ extern "C" void __asan_unpoison_memory_region(void const volatile* addr,
 
 namespace llxscx {
 
-// Per-thread policy counters (always on: thread-local increments cost
-// nothing shared and the block-reuse tests read them in every build mode).
-struct ReclaimStats {
-  std::uint64_t allocs = 0;     // nodes constructed through the policy
-  std::uint64_t pool_hits = 0;  // allocs served from a per-thread free list
-  std::uint64_t retires = 0;    // nodes handed to retire()
-  std::uint64_t deallocs = 0;   // unpublished nodes freed via dealloc()
-  std::uint64_t leaked = 0;     // retires dropped on the floor (LeakyManager)
-
-  ReclaimStats& operator+=(const ReclaimStats& o) {
-    allocs += o.allocs;
-    pool_hits += o.pool_hits;
-    retires += o.retires;
-    deallocs += o.deallocs;
-    leaked += o.leaked;
-    return *this;
-  }
-  ReclaimStats operator-(const ReclaimStats& o) const {
-    ReclaimStats r = *this;
-    r.allocs -= o.allocs;
-    r.pool_hits -= o.pool_hits;
-    r.retires -= o.retires;
-    r.deallocs -= o.deallocs;
-    r.leaked -= o.leaked;
-    return r;
-  }
-};
-
-// One epoch domain's reclamation accounting, as ShardedMap::for_each_shard
-// reports it per shard. `outstanding` counts retired-not-yet-freed
-// records across every thread registered in the domain; `freed` is the
-// domain's lifetime free count. Relaxed reads — exact only when the
-// domain is quiescent, same contract as container size().
-struct DomainReclaimStats {
-  std::uint64_t outstanding = 0;
-  std::uint64_t freed = 0;
-};
-
 // The compile-time face of the contract. alloc/retire/dealloc are member
 // templates, so the concept probes them with a concrete stand-in type.
 template <class M>
@@ -112,7 +76,6 @@ concept RecordManager = requires(int* p) {
   { M::template retire<int>(p) };
   { M::template dealloc<int>(p) };
   { M::drain() };
-  { M::stats() } -> std::same_as<ReclaimStats&>;
 };
 
 // --- EbrManager: the default — epoch grace, then per-thread recycling ---
@@ -150,7 +113,7 @@ struct EbrManager {
 
   template <class T, class... Args>
   static T* alloc(Args&&... args) {
-    ++stats().allocs;
+    Stats::count_alloc();
     constexpr std::size_t kCls = size_class_of(sizeof(T));
     if constexpr (kCls == kNoSizeClass) {
       return new T(std::forward<Args>(args)...);
@@ -163,7 +126,7 @@ struct EbrManager {
         block = fl.back();
         fl.pop_back();
         poison(block, size_class_bytes(kCls), false);
-        ++stats().pool_hits;
+        Stats::count_pool_hit();
       } else {
         block = ::operator new(size_class_bytes(kCls));
       }
@@ -173,22 +136,14 @@ struct EbrManager {
 
   template <class T>
   static void retire(T* p) {
-    ++stats().retires;
+    Stats::count_retire();
     Epoch::retire_raw(p, [](void* q) { destroy(static_cast<T*>(q)); });
   }
 
   template <class T>
-  static void dealloc(T* p) {
-    ++stats().deallocs;
-    destroy(p);
-  }
+  static void dealloc(T* p) { destroy(p); }
 
   static void drain() { Epoch::drain_all_for_testing(); }
-
-  static ReclaimStats& stats() {
-    thread_local ReclaimStats s;
-    return s;
-  }
 
   // Blocks banked in this thread's list for `cls` (test visibility).
   static std::size_t free_blocks(std::size_t cls) {
@@ -196,7 +151,7 @@ struct EbrManager {
   }
 
   // Return every banked block on THIS thread to the allocator. Tests that
-  // pin pool_hits deltas call this first so blocks left over from earlier
+  // pin `pool_hits` deltas call this first so blocks left over from earlier
   // tests in the same size class cannot satisfy (and miscount) an alloc.
   static void purge_thread_cache() { free_lists().purge(); }
 
@@ -262,29 +217,19 @@ struct LeakyManager {
 
   template <class T, class... Args>
   static T* alloc(Args&&... args) {
-    ++stats().allocs;
+    Stats::count_alloc();
     return new T(std::forward<Args>(args)...);
   }
 
+  // Deliberately never freed: every retire is a leak.
   template <class T>
-  static void retire(T*) {
-    ++stats().retires;
-    ++stats().leaked;  // deliberately never freed
-  }
+  static void retire(T*) { Stats::count_retire(); }
 
+  // Never published, so the leak rationale does not apply: free it.
   template <class T>
-  static void dealloc(T* p) {
-    // Never published, so the leak rationale does not apply: free it.
-    ++stats().deallocs;
-    delete p;
-  }
+  static void dealloc(T* p) { delete p; }
 
   static void drain() { Epoch::drain_all_for_testing(); }
-
-  static ReclaimStats& stats() {
-    thread_local ReclaimStats s;
-    return s;
-  }
 };
 
 static_assert(RecordManager<EbrManager>);

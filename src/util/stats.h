@@ -1,9 +1,11 @@
-// Per-thread shared-memory step counters (DESIGN.md §5).
+// Per-thread step counters (DESIGN.md §5) — the one counter block.
 //
 // The paper's analytic claims (E1/E7) are stated in numbers of CAS steps,
 // shared reads, and shared writes per uncontended operation, so the
 // primitives in llxscx/, baselines/mcas.h, and baselines/kcss.h increment
-// these counters on every shared-memory step they take. Counters are plain
+// these counters on every shared-memory step they take. The reclamation
+// policies (reclaim/record_manager.h) count what they allocate, serve
+// from a bank and retire in the same block. Counters are plain
 // thread-local increments — cheap enough to leave on in release builds —
 // and a phase harness aggregates snapshots across workers (bench_common.h).
 //
@@ -32,32 +34,26 @@ struct StepCounts {
   std::uint64_t cas = 0;         // single-word CAS attempts
   std::uint64_t shared_reads = 0;
   std::uint64_t shared_writes = 0;  // plain (non-CAS) shared writes
-  std::uint64_t allocations = 0;    // Data-records constructed
+  std::uint64_t allocations = 0;    // policy allocs and MCAS descriptors
+  std::uint64_t pool_hits = 0;      // allocs served from a per-thread bank
+  std::uint64_t retires = 0;        // records handed to a policy's retire
+
+  static constexpr std::uint64_t StepCounts::*kFields[] = {
+      &StepCounts::llx_calls,    &StepCounts::llx_fail,
+      &StepCounts::scx_calls,    &StepCounts::scx_fail,
+      &StepCounts::helps,        &StepCounts::cas,
+      &StepCounts::shared_reads, &StepCounts::shared_writes,
+      &StepCounts::allocations,  &StepCounts::pool_hits,
+      &StepCounts::retires};
 
   StepCounts& operator+=(const StepCounts& o) {
-    llx_calls += o.llx_calls;
-    llx_fail += o.llx_fail;
-    scx_calls += o.scx_calls;
-    scx_fail += o.scx_fail;
-    helps += o.helps;
-    cas += o.cas;
-    shared_reads += o.shared_reads;
-    shared_writes += o.shared_writes;
-    allocations += o.allocations;
+    for (auto f : kFields) this->*f += o.*f;
     return *this;
   }
 
   StepCounts operator-(const StepCounts& o) const {
     StepCounts r = *this;
-    r.llx_calls -= o.llx_calls;
-    r.llx_fail -= o.llx_fail;
-    r.scx_calls -= o.scx_calls;
-    r.scx_fail -= o.scx_fail;
-    r.helps -= o.helps;
-    r.cas -= o.cas;
-    r.shared_reads -= o.shared_reads;
-    r.shared_writes -= o.shared_writes;
-    r.allocations -= o.allocations;
+    for (auto f : kFields) r.*f -= o.*f;
     return r;
   }
 };
@@ -67,8 +63,9 @@ class Stats {
   static void reset_mine() { mine() = StepCounts{}; }
   static StepCounts my_snapshot() { return mine(); }
 
-  // Instrumentation hooks for the primitives; no-ops when step counting is
-  // compiled out (the `if constexpr` discards the thread-local access).
+  // Instrumentation hooks for the primitives and the policies; no-ops when
+  // step counting is compiled out (the `if constexpr` discards the
+  // thread-local access).
   static void llx_call() {
     if constexpr (kStepCounting) ++mine().llx_calls;
   }
@@ -95,6 +92,12 @@ class Stats {
   }
   static void count_alloc() {
     if constexpr (kStepCounting) ++mine().allocations;
+  }
+  static void count_pool_hit() {
+    if constexpr (kStepCounting) ++mine().pool_hits;
+  }
+  static void count_retire() {
+    if constexpr (kStepCounting) ++mine().retires;
   }
 
  private:

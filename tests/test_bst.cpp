@@ -109,6 +109,7 @@ TEST(Bst, TreeUpdateScxShapesArePinned) {
   EXPECT_EQ(d.cas, 3u) << "insert: k+1 CAS with k=2";
   EXPECT_EQ(d.shared_writes, 3u) << "insert: f+2 writes with f=1";
   EXPECT_EQ(d.allocations, 3u) << "3 fresh nodes; the SCX reuses its slot";
+  EXPECT_EQ(d.retires, 1u) << "R = ⟨l⟩";
 
   Stats::reset_mine();
   ASSERT_TRUE(t.erase(15));
@@ -119,6 +120,7 @@ TEST(Bst, TreeUpdateScxShapesArePinned) {
   EXPECT_EQ(d.cas, 4u) << "delete: k+1 CAS with k=3";
   EXPECT_EQ(d.shared_writes, 4u) << "delete: f+2 writes with f=2";
   EXPECT_EQ(d.allocations, 1u) << "1 fresh sibling copy";
+  EXPECT_EQ(d.retires, 3u) << "R = ⟨p, s⟩ plus the orphaned leaf";
   Epoch::drain_all_for_testing();
 }
 

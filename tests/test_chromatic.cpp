@@ -204,6 +204,7 @@ TEST(Chromatic, RebalancingScxShapesArePinned) {
   EXPECT_EQ(d.cas, 3u) << "violation-free insert: the BST's k+1 with k=2";
   EXPECT_EQ(d.shared_writes, 3u);
   EXPECT_EQ(d.allocations, 3u) << "3 fresh nodes; the SCX reuses its slot";
+  EXPECT_EQ(d.retires, 1u) << "the insert's R = ⟨l⟩";
 
   Stats::reset_mine();
   ASSERT_TRUE(t.insert(2, 20));
@@ -214,6 +215,7 @@ TEST(Chromatic, RebalancingScxShapesArePinned) {
   EXPECT_EQ(d.cas, 6u) << "3 (insert, k=2) + 3 (recolor, k=2)";
   EXPECT_EQ(d.shared_writes, 6u);
   EXPECT_EQ(d.allocations, 4u) << "insert 3, recolor copy 1";
+  EXPECT_EQ(d.retires, 2u) << "insert R = ⟨l⟩, recolor R = ⟨tree-root⟩";
   EXPECT_EQ(t.consistency_error(), std::nullopt);
   Epoch::drain_all_for_testing();
 }

@@ -67,6 +67,7 @@ TEST(Stack, PushPopScxShapesArePinned) {
   EXPECT_EQ(d.cas, 2u) << "push: k+1 CAS with k=1";
   EXPECT_EQ(d.shared_writes, 2u) << "push: f+2 writes with f=0";
   EXPECT_EQ(d.allocations, 1u) << "1 fresh node";
+  EXPECT_EQ(d.retires, 0u) << "push: R = ∅";
 
   d = steps_of([&] { ASSERT_TRUE(s.pop().has_value()); });
   EXPECT_EQ(d.llx_calls, 3u);
@@ -75,6 +76,7 @@ TEST(Stack, PushPopScxShapesArePinned) {
   EXPECT_EQ(d.cas, 4u) << "pop: k+1 CAS with k=3";
   EXPECT_EQ(d.shared_writes, 4u) << "pop: f+2 writes with f=2";
   EXPECT_EQ(d.allocations, 1u) << "1 successor copy";
+  EXPECT_EQ(d.retires, 2u) << "pop: R = ⟨top, succ⟩";
   Epoch::drain_all_for_testing();
 }
 
@@ -225,6 +227,7 @@ TEST(Queue, EnqueueDequeueScxShapesArePinned) {
   EXPECT_EQ(d.cas, 4u) << "enqueue: k+1 CAS with k=2, + 1 hint-publish CAS";
   EXPECT_EQ(d.shared_writes, 3u) << "enqueue: f+2 writes with f=1";
   EXPECT_EQ(d.allocations, 2u) << "node + fresh tail";
+  EXPECT_EQ(d.retires, 1u) << "enqueue: R = ⟨tail⟩";
 
   d = steps_of([&] { ASSERT_TRUE(q.dequeue().has_value()); });
   EXPECT_EQ(d.llx_calls, 2u);
@@ -234,6 +237,7 @@ TEST(Queue, EnqueueDequeueScxShapesArePinned) {
   EXPECT_EQ(d.shared_writes, 4u)
       << "dequeue: f+2 writes with f=1, + 1 hint-invalidate write";
   EXPECT_EQ(d.allocations, 0u) << "handoff: nothing allocated";
+  EXPECT_EQ(d.retires, 1u) << "dequeue: R = ⟨first⟩";
   Epoch::drain_all_for_testing();
 }
 
@@ -347,6 +351,7 @@ TEST(HashMap, BucketScxShapesArePinned) {
   EXPECT_EQ(d.cas, 2u) << "upsert-absent: k+1 CAS with k=1";
   EXPECT_EQ(d.shared_writes, 2u) << "upsert-absent: f+2 writes with f=0";
   EXPECT_EQ(d.allocations, 1u) << "1 fresh node";
+  EXPECT_EQ(d.retires, 0u) << "upsert-absent: R = ∅";
 
   d = steps_of([&] { ASSERT_FALSE(m.upsert(5, 51)); });
   EXPECT_EQ(d.llx_calls, 2u);
@@ -355,6 +360,7 @@ TEST(HashMap, BucketScxShapesArePinned) {
   EXPECT_EQ(d.cas, 3u) << "upsert-present: k+1 CAS with k=2";
   EXPECT_EQ(d.shared_writes, 3u) << "upsert-present: f+2 writes with f=1";
   EXPECT_EQ(d.allocations, 1u) << "1 replacement node";
+  EXPECT_EQ(d.retires, 1u) << "upsert-present: R = ⟨cur⟩";
 
   d = steps_of([&] { ASSERT_TRUE(m.erase(5)); });
   EXPECT_EQ(d.llx_calls, 3u);
@@ -363,6 +369,7 @@ TEST(HashMap, BucketScxShapesArePinned) {
   EXPECT_EQ(d.cas, 4u) << "erase: k+1 CAS with k=3";
   EXPECT_EQ(d.shared_writes, 4u) << "erase: f+2 writes with f=2";
   EXPECT_EQ(d.allocations, 1u) << "1 successor copy";
+  EXPECT_EQ(d.retires, 2u) << "erase: R = ⟨cur, succ⟩";
   Epoch::drain_all_for_testing();
 }
 

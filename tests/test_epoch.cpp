@@ -74,25 +74,44 @@ TEST_F(EpochTest, GuardsAreReentrant) {
   EXPECT_EQ(Payload::destroyed.load(), 0u);
 }
 
+// A pinning thread holds one guard through two waves of workers, so no
+// record can leave limbo: outstanding() must sum exactly each wave's
+// retires over the exited threads' records, which the second wave's
+// threads adopt from the pool. Once the pin drops, one drain destroys
+// every record exactly once.
 TEST_F(EpochTest, ExactlyOnceDestructionAcrossThreads) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kPerThread = 5000;
+  constexpr std::uint64_t kPerWave = kThreads * kPerThread;
   const std::uint64_t freed_before = Epoch::total_freed();
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kThreads; ++t) {
-    pool.emplace_back([] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) {
-        Epoch::Guard g;
-        Epoch::retire(new Payload);
-      }
-    });
+  SpinBarrier pinned(2), release(2);
+  std::thread pinner([&] {
+    Epoch::Guard g;
+    pinned.arrive_and_wait();   // guard is up
+    release.arrive_and_wait();  // both waves counted
+  });
+  pinned.arrive_and_wait();
+  for (std::uint64_t wave = 1; wave <= 2; ++wave) {
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+      pool.emplace_back([] {
+        for (std::uint64_t i = 0; i < kPerThread; ++i) {
+          Epoch::Guard g;
+          Epoch::retire(new Payload);
+        }
+      });
+    }
+    for (auto& th : pool) th.join();
+    EXPECT_EQ(Epoch::outstanding(), wave * kPerWave)
+        << "the pinned guard must hold every record of waves 1.." << wave;
   }
-  for (auto& th : pool) th.join();
+  release.arrive_and_wait();
+  pinner.join();
   Epoch::drain_all_for_testing();
-  EXPECT_EQ(Payload::destroyed.load(), kThreads * kPerThread)
+  EXPECT_EQ(Payload::destroyed.load(), 2 * kPerWave)
       << "every retired payload must be destroyed exactly once";
   EXPECT_EQ(Epoch::outstanding(), 0u);
-  EXPECT_GE(Epoch::total_freed() - freed_before, kThreads * kPerThread);
+  EXPECT_EQ(Epoch::total_freed() - freed_before, 2 * kPerWave);
 }
 
 // A thread finds its per-domain handle by the domain state's index. Here

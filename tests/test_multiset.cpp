@@ -115,6 +115,7 @@ TEST(Multiset, ScxShapesArePinned) {
   EXPECT_EQ(d.cas, 2u) << "insert-absent: k+1 CAS with k=1";
   EXPECT_EQ(d.shared_writes, 2u) << "insert-absent: f+2 writes with f=0";
   EXPECT_EQ(d.allocations, 1u) << "1 fresh node";
+  EXPECT_EQ(d.retires, 0u) << "insert-absent: R = ∅";
 
   d = steps_of([&] { ASSERT_TRUE(ms.insert(20, 3)); });
   EXPECT_EQ(d.llx_calls, 2u);
@@ -123,6 +124,7 @@ TEST(Multiset, ScxShapesArePinned) {
   EXPECT_EQ(d.cas, 3u) << "insert-present: k+1 CAS with k=2";
   EXPECT_EQ(d.shared_writes, 3u) << "insert-present: f+2 writes with f=1";
   EXPECT_EQ(d.allocations, 1u) << "1 replacement node";
+  EXPECT_EQ(d.retires, 1u) << "insert-present: R = ⟨cur⟩";
 
   d = steps_of([&] { ASSERT_EQ(ms.erase(20, 1), 1u); });
   EXPECT_EQ(d.llx_calls, 2u);
@@ -131,6 +133,7 @@ TEST(Multiset, ScxShapesArePinned) {
   EXPECT_EQ(d.cas, 3u) << "partial erase: k+1 CAS with k=2";
   EXPECT_EQ(d.shared_writes, 3u) << "partial erase: f+2 writes with f=1";
   EXPECT_EQ(d.allocations, 1u) << "1 replacement node";
+  EXPECT_EQ(d.retires, 1u) << "partial erase: R = ⟨cur⟩";
 
   d = steps_of([&] { ASSERT_EQ(ms.erase(20, 4), 4u); });
   EXPECT_EQ(d.llx_calls, 3u);
@@ -139,6 +142,7 @@ TEST(Multiset, ScxShapesArePinned) {
   EXPECT_EQ(d.cas, 4u) << "full erase: k+1 CAS with k=3";
   EXPECT_EQ(d.shared_writes, 4u) << "full erase: f+2 writes with f=2";
   EXPECT_EQ(d.allocations, 1u) << "1 successor copy";
+  EXPECT_EQ(d.retires, 2u) << "full erase: R = ⟨cur, succ⟩";
 
   // The last item's successor is the tail sentinel: same k=3 shape, the
   // copy is a fresh tail.
@@ -147,12 +151,14 @@ TEST(Multiset, ScxShapesArePinned) {
   EXPECT_EQ(d.cas, 4u);
   EXPECT_EQ(d.shared_writes, 4u);
   EXPECT_EQ(d.allocations, 1u) << "1 fresh tail";
+  EXPECT_EQ(d.retires, 2u) << "R = ⟨cur, tail⟩";
 
   d = steps_of([&] { ASSERT_EQ(ms.erase(20, 1), 0u); });
   EXPECT_EQ(d.llx_calls, 1u) << "absent: LLX pred, re-read cur, decide";
   EXPECT_EQ(d.scx_calls, 0u);
   EXPECT_EQ(d.cas, 0u);
   EXPECT_EQ(d.allocations, 0u);
+  EXPECT_EQ(d.retires, 0u);
   Epoch::drain_all_for_testing();
 }
 

@@ -123,6 +123,7 @@ TEST(Patricia, TreeUpdateScxShapesArePinned) {
   EXPECT_EQ(d.cas, 3u) << "insert: k+1 CAS with k=2";
   EXPECT_EQ(d.shared_writes, 3u) << "insert: f+2 writes with f=1";
   EXPECT_EQ(d.allocations, 3u) << "branch + leaf + edge copy";
+  EXPECT_EQ(d.retires, 1u) << "R = ⟨n⟩";
 
   Stats::reset_mine();
   ASSERT_TRUE(t.erase(0b1001));
@@ -133,6 +134,7 @@ TEST(Patricia, TreeUpdateScxShapesArePinned) {
   EXPECT_EQ(d.cas, 4u) << "delete: k+1 CAS with k=3";
   EXPECT_EQ(d.shared_writes, 4u) << "delete: f+2 writes with f=2";
   EXPECT_EQ(d.allocations, 1u) << "1 fresh sibling copy";
+  EXPECT_EQ(d.retires, 3u) << "R = ⟨p, s⟩ plus the orphaned leaf";
 
   // A compressed branch edge splits like a leaf: 0b0001 leaves the bit-1
   // branch over {0b1000, 0b1010} at bit 3, so the insert lands on the
@@ -147,6 +149,7 @@ TEST(Patricia, TreeUpdateScxShapesArePinned) {
   EXPECT_EQ(d.cas, 3u) << "branch split: k+1 CAS with k=2";
   EXPECT_EQ(d.shared_writes, 3u) << "branch split: f+2 writes with f=1";
   EXPECT_EQ(d.allocations, 3u) << "branch + leaf + branch copy";
+  EXPECT_EQ(d.retires, 1u) << "R = ⟨n⟩, the split branch";
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
       {0b0001, 4}, {0b1000, 1}, {0b1010, 2}};
   EXPECT_EQ(t.items(), want);

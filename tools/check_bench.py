@@ -4,8 +4,10 @@
 Checks the four files the CI bench-smoke job writes, all in one directory
 (default: the current one):
 
-  bench_reclaim.json        ebr and leaky rows: drain-to-zero, pool hits,
-                            no frees under the leaky policy
+  bench_reclaim.json        ebr and leaky rows: every row drains to zero,
+                            ebr rows hit the pools and include a
+                            multi-thread row, leaky rows leak and free
+                            nothing
   bench_bst.json            every tree publishes seq-bulk and scan rows;
                             insert streams report bounded tree depths
   bench_workload.json       consolidated schema, ycsb-e scans, both widths
@@ -29,17 +31,22 @@ def load(directory, name):
 
 
 def check_reclaim(directory):
-    # E8's two policies and what each must show: EBR drains to zero and
-    # its allocations hit the per-thread banks; the leaky policy frees
-    # nothing.
+    # E8's two policies and what each must show: every row drains to
+    # zero; EBR's allocations hit the per-thread banks, and some EBR row
+    # drains several workers' thread records; the leaky policy frees
+    # nothing and leaks what it retired. pool_hits and leaked are step
+    # counts: this gate reads a build with LLXSCX_COUNT_STEPS=ON.
     rows = load(directory, 'bench_reclaim.json')['rows']
     assert {r['mode'] for r in rows} == {'ebr', 'leaky'}, rows
     for r in rows:
+        assert r['outstanding_after_drain'] == 0, r
         if r['mode'] == 'ebr':
-            assert r['outstanding_after_drain'] == 0, r
             assert r['pool_hits'] > 0, r
         else:
             assert r['freed'] == 0, r
+            assert r['leaked'] > 0, r
+    assert any(r['mode'] == 'ebr' and r['threads'] > 1 for r in rows), \
+        'no multi-thread ebr row'
     print(f'bench_reclaim.json OK: {len(rows)} rows')
 
 
