@@ -62,10 +62,12 @@
 // one migration is in flight per table generation and the next table's
 // buckets are never sealed while copies into them run.
 //
-// Backpressure: an insert measures the bucket's FULL chain length (the
-// walk to its slot plus the remainder of the chain, counted only up to
-// the bound — insert depth alone is NOT a bound: a descending-key stream
-// inserts at the front of the chain with depth 0 forever). At
+// Backpressure: only an insert of an absent key measures the bucket's
+// FULL chain length (the walk to its slot plus the remainder of the
+// chain, counted only up to the bound — insert depth alone is NOT a
+// bound: a descending-key stream inserts at the front of the chain with
+// depth 0 forever). A replace and an erase never lengthen a chain: they
+// stop at their key and report their walk depth to the trigger. At
 // kStallChainLen it refuses to lengthen the chain — it routes its bucket
 // to the next table instead and inserts there. A table still being
 // migrated INTO (not yet table_) has no successor to route to, so route()
@@ -157,6 +159,14 @@ class BasicLlxScxHashMap {
     Table* t = table_.load(mo::acquire);
     for (;;) {
       const Slot s = locate(t, key);
+      if (s.cur->item() && s.cur->key == key) {
+        // A value change is a node replacement (see header). It never
+        // lengthens the chain, so it stops at its key and reports its walk
+        // depth, as erase does.
+        if (!L::replace(s, value)) continue;
+        after_update(t, s.walked);
+        return false;
+      }
       // Backpressure + trigger need the chain's LENGTH, not the insert
       // DEPTH (`walked`): a front-of-chain insert walks 0 nodes no matter
       // how long the chain is. Keep counting past the slot, capped at the
@@ -173,12 +183,10 @@ class BasicLlxScxHashMap {
         t = route(t, s.b);
         continue;
       }
-      const bool present = s.cur->item() && s.cur->key == key;
-      // A value change is a node replacement (see header).
-      if (present ? L::replace(s, value) : L::insert_before(s, key, value)) {
-        if (!present) t->items.fetch_add(1, mo::relaxed);
-        after_update(t, present ? chain : chain + 1);
-        return !present;
+      if (L::insert_before(s, key, value)) {
+        t->items.fetch_add(1, mo::relaxed);
+        after_update(t, chain + 1);
+        return true;
       }
     }
   }
@@ -457,11 +465,12 @@ class BasicLlxScxHashMap {
 
   // Called after every committed update: helps an in-flight migration
   // along, or triggers one when this op's observed chain length crossed
-  // the threshold AND the table-wide load factor warrants doubling.
-  // upsert passes the measured chain length; erase passes its walk depth
-  // (a lower bound — erase never lengthens a chain, and any insert into
-  // the bucket measures the full length). Loads only on the fast path —
-  // the pinned per-op SCX shapes are untouched.
+  // the threshold AND the table-wide load factor warrants doubling. An
+  // insert of an absent key passes the measured chain length; a replace
+  // and an erase pass their walk depth (a lower bound — neither lengthens
+  // a chain, and any insert into the bucket measures the full length).
+  // Loads only on the fast path — the pinned per-op SCX shapes are
+  // untouched.
   void after_update(Table* t, std::size_t chain) {
     if (t->next.load(mo::acquire) != nullptr) {
       help_migrate(t);

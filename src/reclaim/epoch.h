@@ -173,8 +173,11 @@ class Epoch {
     // caveats as drain_all_for_testing, scoped to this domain).
     void drain() const { drain_state(*st_); }
 
-    std::uint64_t outstanding() const { return counts(*st_).outstanding; }
-    std::uint64_t total_freed() const { return counts(*st_).freed; }
+    // Both counts from one walk, so they describe the same instant; the
+    // one-field reads below each take a walk of their own.
+    DomainReclaimStats counts() const { return Epoch::counts(*st_); }
+    std::uint64_t outstanding() const { return counts().outstanding; }
+    std::uint64_t total_freed() const { return counts().freed; }
 
    private:
     friend class Epoch;

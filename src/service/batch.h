@@ -4,22 +4,19 @@
 // A BatchOp is one request (get / insert / erase on a key); a batch is a
 // caller-owned array of them, answered positionally by an equal-length
 // BatchResult array. The semantics are PER-KEY PROGRAM ORDER: ops on the
-// same key take effect in their batch positions (grouping never reorders
-// equal keys — same key, same shard, stable sort), while ops on different
-// keys may interleave with concurrent threads exactly as individually
-// issued ops would. A batch is NOT a transaction: no atomicity across
-// entries is implied, only the amortization of per-op fixed costs (epoch
-// guard entry, shard routing, cache-miss latency via interleaved
-// traversals).
+// same key take effect in their batch positions (both implementations
+// below run a batch in order), while ops on different keys may interleave
+// with concurrent threads exactly as individually issued ops would. A
+// batch is NOT a transaction: no atomicity across entries is implied.
 //
 // container_apply_batch is the one entry point: containers that implement
-// apply_batch (ShardedMap — which regroups by shard and runs each group
-// under ONE DomainScope + Guard) get member dispatch; every bare engine
-// gets the generic driver below, which holds one epoch guard across the
-// whole batch (inner per-op guards nest at depth > 0, i.e. no reservation
-// store and no fence) and forwards consecutive get-runs through
-// container_multi_get so engines with interleaved prefetching traversals
-// overlap their cache misses.
+// apply_batch get member dispatch (ShardedMap runs each op through its
+// scalar verb, under that op's shard scope and guard, in batch order);
+// every bare engine gets the generic driver below, which holds one epoch
+// guard across the whole batch (inner per-op guards nest at depth > 0,
+// i.e. no reservation store and no fence) and forwards consecutive
+// get-runs through container_multi_get so engines with interleaved
+// prefetching traversals overlap their cache misses.
 #pragma once
 
 #include <cstddef>

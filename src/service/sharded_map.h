@@ -161,17 +161,17 @@ class ShardedMap {
 
   // --- batched surface (DESIGN.md §14) --------------------------------
   //
-  // Both verbs group ops by shard with ONE shard_for hash per key, then
-  // serve each shard's group under a single DomainScope + epoch Guard
-  // instead of one per op: guard entry's reservation store and seq_cst
-  // fence (DESIGN.md §2) amortize across the group, and the engine's
-  // multi_get (interleaved prefetching traversals where implemented)
-  // overlaps the group's cache misses.
+  // multi_get (and insert_all, below) group keys by shard with ONE
+  // shard_for hash per key, then serve each shard's group under a single
+  // DomainScope + epoch Guard instead of one per key: guard entry's
+  // reservation store and seq_cst fence (DESIGN.md §2) amortize across
+  // the group, and the engine's multi_get (interleaved prefetching
+  // traversals where implemented) overlaps the group's cache misses.
   //
-  // Grouping is a stable counting sort, so ops on the SAME key (same
-  // shard by construction) keep their batch-relative order; ops on
-  // different keys may execute out of batch order across shards, which is
-  // indistinguishable from scalar ops racing on different keys.
+  // apply_batch does not group. A serving batch is a few ops spread over
+  // every shard (8 over 4 in the serving benchmark), so its groups hold
+  // about two ops each, and the sort, gather and scatter cost more than
+  // the shared guards saved (DESIGN.md §14).
 
   // out[i] = contains(keys[i]). Duplicate keys welcome; n == 0 is a no-op.
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
@@ -199,32 +199,24 @@ class ShardedMap {
     for (std::size_t j = 0; j < n; ++j) out[sc.order[j]] = hits[j];
   }
 
-  // Mixed-op batch, answered positionally (see batch.h for the per-key
-  // program-order contract). Each shard group runs through the generic
-  // batch driver under the shard's scope, so its gets still coalesce into
-  // engine multi_get runs.
+  // Mixed-op batch, answered positionally (see batch.h): each op runs
+  // through the scalar verb, under its own shard's scope and guard, in
+  // batch order, so per-key program order is simply batch order.
   void apply_batch(const BatchOp* ops, std::size_t n, BatchResult* out) {
-    if (n == 0) return;
-    if (shards_.size() == 1) {
-      Shard& sh = *shards_[0];
-      Epoch::DomainScope scope(sh.domain);
-      container_apply_batch(*sh.engine, ops, n, out);
-      return;
+    for (std::size_t i = 0; i < n; ++i) {
+      const BatchOp& op = ops[i];
+      switch (op.kind) {
+        case BatchOpKind::kGet:
+          out[i].ok = contains(op.key);
+          break;
+        case BatchOpKind::kInsert:
+          out[i].ok = insert(op.key, op.value);
+          break;
+        case BatchOpKind::kErase:
+          out[i].ok = erase(op.key);
+          break;
+      }
     }
-    Scratch& sc = scratch();
-    group_by_shard(sc, n, [&](std::size_t i) { return ops[i].key; });
-    sc.ops.resize(n);
-    sc.results.resize(n);
-    for (std::size_t j = 0; j < n; ++j) sc.ops[j] = ops[sc.order[j]];
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const std::size_t b = sc.start[s], e = sc.start[s + 1];
-      if (b == e) continue;
-      Shard& sh = *shards_[s];
-      Epoch::DomainScope scope(sh.domain);
-      container_apply_batch(*sh.engine, sc.ops.data() + b, e - b,
-                            sc.results.data() + b);
-    }
-    for (std::size_t j = 0; j < n; ++j) out[sc.order[j]] = sc.results[j];
   }
 
   // --- range / scan / bulk verbs (DESIGN.md §15) -----------------------
@@ -323,9 +315,9 @@ class ShardedMap {
 
   // --- service-layer surface ------------------------------------------
   std::size_t shard_count() const { return shards_.size(); }
-  // The routing hash, exposed so loops over many keys (batch grouping
-  // above, external dispatchers) compute it ONCE per key instead of
-  // re-hashing inside every contains/insert/erase call.
+  // The routing hash, exposed so loops over many keys (the shard grouping
+  // of multi_get and insert_all, external dispatchers) compute it ONCE
+  // per key instead of re-hashing inside every contains/insert/erase call.
   std::size_t shard_for(std::uint64_t key) const {
     return split_(key, shard_bits_);
   }
@@ -337,8 +329,7 @@ class ShardedMap {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       const Shard& sh = *shards_[i];
       Epoch::DomainScope scope(sh.domain);
-      fn(i, *sh.engine,
-         DomainReclaimStats{sh.domain.outstanding(), sh.domain.total_freed()});
+      fn(i, *sh.engine, sh.domain.counts());
     }
   }
 
@@ -372,17 +363,15 @@ class ShardedMap {
     return *shards_[shard_for(key)];
   }
 
-  // Per-thread grouping and merge buffers: batch dispatch and range
+  // Per-thread grouping and merge buffers: multi_get, insert_all and range
   // allocate nothing on the steady state (vectors keep their high-water
   // capacity).
   struct Scratch {
-    std::vector<std::uint32_t> shard_ix;  // shard id per op (one hash each)
-    std::vector<std::uint32_t> order;     // op indices, grouped by shard
+    std::vector<std::uint32_t> shard_ix;  // shard id per key (one hash each)
+    std::vector<std::uint32_t> order;     // key indices, grouped by shard
     std::vector<std::uint32_t> cursor;    // counting-sort write heads
     std::vector<std::uint32_t> start;     // group boundaries, size shards+1
-    std::vector<std::uint64_t> keys;     // gathered keys (multi_get)
-    std::vector<BatchOp> ops;            // gathered ops (apply_batch)
-    std::vector<BatchResult> results;    // per-group answers pre-scatter
+    std::vector<std::uint64_t> keys;     // gathered keys
     std::unique_ptr<bool[]> hits;        // gathered answers (multi_get)
     std::size_t hits_cap = 0;
     RangeOut runs;                       // shard slices, back to back (range)
@@ -443,9 +432,9 @@ class ShardedMap {
     while (j < je) dst[d++] = src[j++];
   }
 
-  // Stable counting sort of op indices [0, n) by shard: one shard_for
-  // hash per op, ascending index within each group (what preserves
-  // per-key program order). key_of(i) supplies the i-th op's key.
+  // Stable counting sort of key indices [0, n) by shard: one shard_for
+  // hash per key, ascending index within each group (what keeps a sorted
+  // insert_all run sorted in every shard). key_of(i) supplies the i-th key.
   template <class KeyOf>
   void group_by_shard(Scratch& sc, std::size_t n, KeyOf&& key_of) const {
     const std::size_t ns = shards_.size();

@@ -373,6 +373,32 @@ TEST(HashMap, BucketScxShapesArePinned) {
   Epoch::drain_all_for_testing();
 }
 
+// An upsert of a present key never lengthens its chain, so it stops at its
+// key: the same replace reads as many shared words whatever follows the
+// key in its bucket. Both maps keep one bucket (four items stay below the
+// growth trigger's 8-item walk), and 5 heads both chains.
+TEST(HashMap, PresentKeyUpsertStopsAtItsKey) {
+  if (!kStepCounting) GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
+  LlxScxHashMap alone(1);
+  LlxScxHashMap ahead(1);
+  ASSERT_TRUE(alone.upsert(5, 50));
+  for (std::uint64_t k : {5, 6, 7, 8}) ASSERT_TRUE(ahead.upsert(k, k * 10));
+  ASSERT_EQ(ahead.bucket_count(), 1u);
+
+  StepCounts d[2];
+  LlxScxHashMap* maps[2] = {&alone, &ahead};
+  for (int i = 0; i < 2; ++i) {
+    d[i] = steps_of([&] { ASSERT_FALSE(maps[i]->upsert(5, 51)); });
+    EXPECT_EQ(d[i].llx_calls, 2u);
+    EXPECT_EQ(d[i].scx_calls, 1u);
+    EXPECT_EQ(d[i].scx_fail, 0u);
+    EXPECT_EQ(d[i].cas, 3u) << "upsert-present: k+1 CAS with k=2";
+  }
+  EXPECT_EQ(d[0].shared_reads, d[1].shared_reads)
+      << "a present-key upsert walked the chain past its key";
+  Epoch::drain_all_for_testing();
+}
+
 TEST(HashMapStress, MatchesLockedOracleUnderContention) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kHotKeys = 8;

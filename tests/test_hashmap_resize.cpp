@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -283,14 +285,19 @@ TEST(HashMapResize, MillionKeysFromOneBucketUnderConcurrentReaders) {
     }
     // The doubling monitor: sample bucket_count; on every growth step,
     // walk the occupancy and hold every chain to the protocol bound.
+    // Tables only double, so the bit-width step counts every doubling
+    // since the last sample, those that landed during an occupancy walk
+    // included.
+    std::size_t buckets = m.bucket_count();  // 1: no writer has started
     pool.emplace_back([&] {
       barrier.arrive_and_wait();
-      std::size_t buckets = m.bucket_count();
       while (!done.load(std::memory_order_relaxed)) {
         const std::size_t now = m.bucket_count();
         if (now > buckets) {
+          doublings.fetch_add(static_cast<std::size_t>(std::bit_width(now) -
+                                                       std::bit_width(buckets)),
+                              std::memory_order_relaxed);
           buckets = now;
-          doublings.fetch_add(1, std::memory_order_relaxed);
           const HashMapOccupancy o = m.occupancy();
           std::size_t worst = worst_live_chain.load(std::memory_order_relaxed);
           while (o.max_bucket > worst &&
@@ -324,13 +331,15 @@ TEST(HashMapResize, MillionKeysFromOneBucketUnderConcurrentReaders) {
     settle(m);
     EXPECT_GE(doublings.load(), 5u)
         << "a 1-bucket map absorbing " << kKeys
-        << " keys must double many times (sampled, so a few may be missed)";
+        << " keys must double many times (the monitor last saw " << buckets
+        << " buckets)";
     EXPECT_GE(m.bucket_count(), kKeys / (2 * kQuiescentChainBound))
         << "final table too small for the chain bound to hold";
-    std::printf("[ resize ] %llu keys, %zu observed doublings, final "
-                "buckets=%zu, worst live chain=%zu\n",
+    std::printf("[ resize ] %llu keys, %zu doublings up to the %zu buckets "
+                "the monitor last saw, final buckets=%zu, worst live "
+                "chain=%zu\n",
                 static_cast<unsigned long long>(kKeys), doublings.load(),
-                m.bucket_count(), worst_live_chain.load());
+                buckets, m.bucket_count(), worst_live_chain.load());
 
     // Quiescent exactness: every key present with its value, chains back
     // under the backpressure bound, size agrees.

@@ -156,6 +156,24 @@ TEST(ShardedMap, GuardOnOneShardDoesNotBlockAnotherShardsDrain) {
   m.shard_domain(a).drain();
   EXPECT_GT(m.shard_domain(a).outstanding(), 0u);
 
+  // for_each_shard reports each shard's pair from its own domain: above
+  // zero for the pinned shard, nothing outstanding for the drained one.
+  std::size_t seen = 0;
+  m.for_each_shard([&](std::size_t i, const LlxScxHashMap&,
+                       DomainReclaimStats s) {
+    ++seen;
+    const Epoch::Domain& d = m.shard_domain(i);
+    EXPECT_EQ(s.outstanding, d.outstanding()) << "shard " << i;
+    EXPECT_EQ(s.freed, d.total_freed()) << "shard " << i;
+    if (i == a) {
+      EXPECT_GT(s.outstanding, 0u);
+    } else if (i == b) {
+      EXPECT_EQ(s.outstanding, 0u);
+      EXPECT_GT(s.freed, 0u) << "the drain took shard B's retires";
+    }
+  });
+  EXPECT_EQ(seen, m.shard_count());
+
   // …and drain fully once it drops.
   pin.reset();
   m.shard_domain(a).drain();
