@@ -58,17 +58,24 @@ struct BstNode : DataRecord<2> {
   static constexpr std::size_t kRight = 1;
 
   // Internal node.
-  BstNode(std::uint64_t k, BstNode* l, BstNode* r) : key(k), value(0), leaf(false) {
+  BstNode(std::uint64_t k, BstNode* l, BstNode* r)
+      : DataRecord(/*leaf=*/0, 0), key(k) {
     mut(kLeft).store(reinterpret_cast<std::uint64_t>(l), std::memory_order_relaxed);
     mut(kRight).store(reinterpret_cast<std::uint64_t>(r), std::memory_order_relaxed);
   }
-  // Leaf.
-  BstNode(std::uint64_t k, std::uint64_t v) : key(k), value(v), leaf(true) {}
+  // Leaf: the value lives in the left child slot, which no SCX writes
+  // (DESIGN.md §7); the template's value_of reads it.
+  BstNode(std::uint64_t k, std::uint64_t v) : DataRecord(/*leaf=*/1, 0), key(k) {
+    mut(kLeft).store(v, std::memory_order_relaxed);
+  }
+
+  bool leaf() const { return tag_byte() != 0; }
 
   const std::uint64_t key;
-  const std::uint64_t value;  // leaves only
-  const bool leaf;
 };
+// ⟨header, left, right, key⟩: a 48-byte malloc chunk (size class 1).
+static_assert(sizeof(BstNode) == 40);
+static_assert(EbrManager::size_class_of(sizeof(BstNode)) == 1);
 
 template <class Reclaim = EbrManager>
 class BasicLlxScxBst
@@ -96,9 +103,10 @@ class BasicLlxScxBst
  private:
   // delete(k): fresh sibling copy (children taken from the LLX snapshot).
   Fresh<Node> copy_for_erase(Op& op, Node* /*p*/, Node* s, const Snapshot& ls) {
-    return s->leaf ? op.freshly(s->key, s->value)
-                   : op.freshly(s->key, Base::to_node(ls.field(Node::kLeft)),
-                                Base::to_node(ls.field(Node::kRight)));
+    return s->leaf()
+               ? op.freshly(s->key, Base::value_of(s))
+               : op.freshly(s->key, Base::to_node(ls.field(Node::kLeft)),
+                            Base::to_node(ls.field(Node::kRight)));
   }
 
   // insert_all() group bound: 2·G+1 fresh nodes per group must fit the
@@ -121,12 +129,12 @@ class BasicLlxScxBst
     bool placed = false;
     for (std::size_t a = 0; a < m; ++a) {
       if (!placed && l->key < ks[a]) {
-        leaves[cnt++] = {l->key, l->value};
+        leaves[cnt++] = {l->key, Base::value_of(l)};
         placed = true;
       }
       leaves[cnt++] = {ks[a], value};
     }
-    if (!placed) leaves[cnt++] = {l->key, l->value};
+    if (!placed) leaves[cnt++] = {l->key, Base::value_of(l)};
     return build_balanced(op, leaves, 0, cnt);
   }
 

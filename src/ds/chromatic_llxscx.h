@@ -69,22 +69,29 @@ struct ChromaticNode : DataRecord<2> {
   static constexpr std::size_t kLeft = 0;
   static constexpr std::size_t kRight = 1;
 
-  // Internal node.
+  // Internal node. The weight lives in the header's tag word, the leaf
+  // flag in its tag byte: both immutable, so recoloring replaces the node.
   ChromaticNode(std::uint64_t k, std::uint32_t w, ChromaticNode* l,
                 ChromaticNode* r)
-      : key(k), value(0), weight(w), leaf(false) {
+      : DataRecord(/*leaf=*/0, w), key(k) {
     mut(kLeft).store(reinterpret_cast<std::uint64_t>(l), std::memory_order_relaxed);
     mut(kRight).store(reinterpret_cast<std::uint64_t>(r), std::memory_order_relaxed);
   }
-  // Leaf.
+  // Leaf: the value lives in the left child slot, which no SCX writes
+  // (DESIGN.md §7); the template's value_of reads it.
   ChromaticNode(std::uint64_t k, std::uint64_t v, std::uint32_t w)
-      : key(k), value(v), weight(w), leaf(true) {}
+      : DataRecord(/*leaf=*/1, w), key(k) {
+    mut(kLeft).store(v, std::memory_order_relaxed);
+  }
+
+  bool leaf() const { return tag_byte() != 0; }
+  std::uint32_t weight() const { return tag_word(); }
 
   const std::uint64_t key;
-  const std::uint64_t value;   // leaves only
-  const std::uint32_t weight;  // immutable: recoloring replaces the node
-  const bool leaf;
 };
+// ⟨header, left, right, key⟩: a 48-byte malloc chunk (size class 1).
+static_assert(sizeof(ChromaticNode) == 40);
+static_assert(EbrManager::size_class_of(sizeof(ChromaticNode)) == 1);
 
 template <class Reclaim = EbrManager>
 class BasicLlxScxChromatic
@@ -126,7 +133,7 @@ class BasicLlxScxChromatic
       const Node* parent;
       std::uint64_t path_weight;  // weights root_→n inclusive, sans root_
     };
-    std::vector<Item> stack{{r, &root_, r->weight}};
+    std::vector<Item> stack{{r, &root_, r->weight()}};
     bool have_expected = false;
     std::uint64_t expected_path = 0;
     // Pushing right before left makes the DFS visit leaves in ascending
@@ -137,14 +144,14 @@ class BasicLlxScxChromatic
       const auto [n, parent, pw] = stack.back();
       stack.pop_back();
       if (n == nullptr) return "external shape: null child";
-      if (n->weight == 0 && parent != &root_ && parent->weight == 0) {
+      if (n->weight() == 0 && parent != &root_ && parent->weight() == 0) {
         return "red-red violation at key " + std::to_string(n->key);
       }
-      if (n->weight >= 2) {
+      if (n->weight() >= 2) {
         return "overweight violation at key " + std::to_string(n->key);
       }
-      if (n->leaf) {
-        if (n->weight == 0) return "red leaf at key " + std::to_string(n->key);
+      if (n->leaf()) {
+        if (n->weight() == 0) return "red leaf at key " + std::to_string(n->key);
         if (have_prev_key && n->key <= prev_key) {
           return "key order violation at " + std::to_string(n->key);
         }
@@ -160,8 +167,8 @@ class BasicLlxScxChromatic
       }
       const Node* l = Base::read_child(n, Node::kLeft);
       const Node* r2 = Base::read_child(n, Node::kRight);
-      stack.push_back({r2, n, pw + (r2 ? r2->weight : 0)});
-      stack.push_back({l, n, pw + (l ? l->weight : 0)});
+      stack.push_back({r2, n, pw + (r2 ? r2->weight() : 0)});
+      stack.push_back({l, n, pw + (l ? l->weight() : 0)});
     }
     return std::nullopt;
   }
@@ -170,11 +177,7 @@ class BasicLlxScxChromatic
   // delete(k): the sibling copy absorbs the unlinked parent's weight —
   // w(s′) = w(p) + w(s) keeps every surviving path sum unchanged.
   Fresh<Node> copy_for_erase(Op& op, Node* p, Node* s, const Snapshot& ls) {
-    const std::uint32_t w = p->weight + s->weight;
-    return s->leaf
-               ? op.freshly(s->key, s->value, w)
-               : op.freshly(s->key, w, Base::to_node(ls.field(Node::kLeft)),
-                            Base::to_node(ls.field(Node::kRight)));
+    return copy_with_weight(op, s, ls, p->weight() + s->weight());
   }
 
   // Post-commit hooks: run cleanup only when this update actually
@@ -182,7 +185,7 @@ class BasicLlxScxChromatic
   // local). `repl`/`scopy` are published but guard-protected; all fields
   // read here are immutable.
   void after_erase(std::uint64_t key, Node* scopy) {
-    if (scopy->weight >= 2) cleanup(key);
+    if (scopy->weight() >= 2) cleanup(key);
   }
 
   // insert_all() group bound, chosen for the ≤-1-violation-per-group
@@ -196,7 +199,7 @@ class BasicLlxScxChromatic
   //   w(t) ≥ 3 → root overweight (one violation)
   static constexpr std::size_t kGroupCap = 2;
   std::size_t group_cap(const Node* p, const Node* t) const {
-    return (p->weight == 0 && t->weight == 1) ? 1 : kGroupCap;
+    return (p->weight() == 0 && t->weight() == 1) ? 1 : kGroupCap;
   }
 
   // Every insert's build: balanced fresh subtree, root carries w(t)−1
@@ -213,13 +216,13 @@ class BasicLlxScxChromatic
     bool placed = false;
     for (std::size_t a = 0; a < m; ++a) {
       if (!placed && l->key < ks[a]) {
-        leaves[cnt++] = {l->key, l->value};
+        leaves[cnt++] = {l->key, Base::value_of(l)};
         placed = true;
       }
       leaves[cnt++] = {ks[a], value};
     }
-    if (!placed) leaves[cnt++] = {l->key, l->value};
-    return build_weighted(op, leaves, 0, cnt, l->weight - 1);
+    if (!placed) leaves[cnt++] = {l->key, Base::value_of(l)};
+    return build_weighted(op, leaves, 0, cnt, l->weight() - 1);
   }
 
   Fresh<Node> build_weighted(Op& op,
@@ -243,8 +246,8 @@ class BasicLlxScxChromatic
   // candidate violation.
   void after_insert_all(const std::uint64_t* ks, std::size_t m, Node* repl,
                         Node* p) {
-    const bool redred = repl->weight == 0 && (m > 1 || p->weight == 0);
-    if (redred || repl->weight >= 2) cleanup(ks[0]);
+    const bool redred = repl->weight() == 0 && (m > 1 || p->weight() == 0);
+    if (redred || repl->weight() >= 2) cleanup(ks[0]);
   }
 
   // Fix every violation on the search path toward `key`. Each fix SCX
@@ -262,9 +265,9 @@ class BasicLlxScxChromatic
       std::size_t pdir = Base::dir_of(p, key);
       Node* n = Base::read_child(p, pdir);
       for (;;) {
-        const bool overweight = n->weight >= 2;
+        const bool overweight = n->weight() >= 2;
         const bool redred =
-            n->weight == 0 && p != &root_ && p->weight == 0;
+            n->weight() == 0 && p != &root_ && p->weight() == 0;
         if (overweight) {
           fix_overweight(gp, gdir, p, pdir, n);
           break;  // re-walk
@@ -273,7 +276,7 @@ class BasicLlxScxChromatic
           fix_redred(ggp, ggdir, gp, gdir, p, pdir, n);
           break;  // re-walk
         }
-        if (n->leaf) return;  // path to key is violation-free
+        if (n->leaf()) return;  // path to key is violation-free
         ggp = gp;
         ggdir = gdir;
         gp = p;
@@ -300,10 +303,13 @@ class BasicLlxScxChromatic
                             : op.freshly(k, w, other, at_d);
   }
 
+  // Fresh copy of n with weight w: a leaf through the leaf constructor
+  // (its value, never its left slot as a child), an internal node with
+  // the children of its snapshot.
   static Fresh<Node> copy_with_weight(Op& op, const Node* n,
                                       const Snapshot& ln, std::uint32_t w) {
-    return n->leaf
-               ? op.freshly(n->key, n->value, w)
+    return n->leaf()
+               ? op.freshly(n->key, Base::value_of(n), w)
                : op.freshly(n->key, w, Base::to_node(ln.field(Node::kLeft)),
                             Base::to_node(ln.field(Node::kRight)));
   }
@@ -346,7 +352,7 @@ class BasicLlxScxChromatic
     if (!lp.ok()) return;
     if (Base::to_node(lp.field(pdir)) != x) return;
     Node* uncle = Base::to_node(lgp.field(1 - gdir));
-    if (uncle->weight == 0) {
+    if (uncle->weight() == 0) {
       // BLK: p, uncle → 1; gp → w(gp)−1 (path sums: +1 then −1). The
       // violation moves to gp if gp turns red under a red parent.
       //   V = ⟨ggp, gp, p, u⟩   R = ⟨gp, p, u⟩
@@ -360,7 +366,7 @@ class BasicLlxScxChromatic
       auto p2 = copy_with_weight(op, p, lp, 1);
       auto u2 = copy_with_weight(op, uncle, lu, 1);
       auto gp2 =
-          oriented(op, gp->key, gp->weight - 1, p2.get(), u2.get(), gdir);
+          oriented(op, gp->key, gp->weight() - 1, p2.get(), u2.get(), gdir);
       op.write(ggp, ggdir, gp2);
       op.commit();
       return;
@@ -376,7 +382,7 @@ class BasicLlxScxChromatic
       op.remove(lp);
       Node* c = Base::to_node(lp.field(1 - pdir));
       auto gp2 = oriented(op, gp->key, 0, c, uncle, gdir);
-      auto p2 = oriented(op, p->key, gp->weight, x, gp2.get(), gdir);
+      auto p2 = oriented(op, p->key, gp->weight(), x, gp2.get(), gdir);
       op.write(ggp, ggdir, p2);
       op.commit();
       return;
@@ -384,8 +390,8 @@ class BasicLlxScxChromatic
     // RB2 double rotation: x (inner, red ⇒ internal, since leaves keep
     // weight ≥ 1) takes gp's place and weight; p and gp turn red below.
     //   V = ⟨ggp, gp, p, x⟩   R = ⟨gp, p, x⟩
-    assert(!x->leaf && "red leaves cannot exist (leaf weights stay >= 1)");
-    if (x->leaf) return;
+    assert(!x->leaf() && "red leaves cannot exist (leaf weights stay >= 1)");
+    if (x->leaf()) return;
     auto lx = llx(x);
     if (!lx.ok()) return;
     Op op;
@@ -398,7 +404,7 @@ class BasicLlxScxChromatic
     Node* b = Base::to_node(lx.field(1 - gdir));  // goes to gp's side
     auto p2 = oriented(op, p->key, 0, c, a, gdir);
     auto gp2 = oriented(op, gp->key, 0, b, uncle, gdir);
-    auto x2 = oriented(op, x->key, gp->weight, p2.get(), gp2.get(), gdir);
+    auto x2 = oriented(op, x->key, gp->weight(), p2.get(), gp2.get(), gdir);
     op.write(ggp, ggdir, x2);
     op.commit();
   }
@@ -418,15 +424,15 @@ class BasicLlxScxChromatic
     if (!lp.ok()) return;
     if (Base::to_node(lp.field(pdir)) != x) return;
     Node* s = Base::to_node(lp.field(1 - pdir));
-    if (s->weight == 0) {
+    if (s->weight() == 0) {
       // RED-SIB: rotate the red sibling up (s′ = w(p), p′ = 0); x keeps
       // its weight and gains a black sibling (s's child), so the next
       // cleanup iteration can push or rotate. s is internal: a weight-0
       // leaf cannot exist, and weighted-path equality next to w(x) ≥ 2
       // forces depth under s.
       //   V = ⟨gp, p, s⟩   R = ⟨p, s⟩
-      assert(!s->leaf && "red leaves cannot exist (leaf weights stay >= 1)");
-      if (s->leaf) return;
+      assert(!s->leaf() && "red leaves cannot exist (leaf weights stay >= 1)");
+      if (s->leaf()) return;
       auto ls = llx(s);
       if (!ls.ok()) return;
       Op op;
@@ -436,7 +442,7 @@ class BasicLlxScxChromatic
       Node* si = Base::to_node(ls.field(pdir));      // s's child nearer x
       Node* so = Base::to_node(ls.field(1 - pdir));  // farther child
       auto p2 = oriented(op, p->key, 0, x, si, pdir);
-      auto s2 = oriented(op, s->key, p->weight, p2.get(), so, pdir);
+      auto s2 = oriented(op, s->key, p->weight(), p2.get(), so, pdir);
       op.write(gp, gdir, s2);
       op.commit();
       return;
@@ -446,11 +452,11 @@ class BasicLlxScxChromatic
     if (!ls.ok()) return;
     Node* si = nullptr;
     Node* so = nullptr;
-    bool push = s->weight >= 2 || s->leaf;
+    bool push = s->weight() >= 2 || s->leaf();
     if (!push) {
       si = Base::to_node(ls.field(pdir));
       so = Base::to_node(ls.field(1 - pdir));
-      if (si->weight >= 1 && so->weight >= 1) push = true;
+      if (si->weight() >= 1 && so->weight() >= 1) push = true;
     }
     auto lx = llx(x);
     if (!lx.ok()) return;
@@ -464,14 +470,14 @@ class BasicLlxScxChromatic
       op.remove(lp);
       op.remove(lx);
       op.remove(ls);
-      auto x2 = copy_with_weight(op, x, lx, x->weight - 1);
-      auto s2 = copy_with_weight(op, s, ls, s->weight - 1);
-      auto p2 = oriented(op, p->key, p->weight + 1, x2.get(), s2.get(), pdir);
+      auto x2 = copy_with_weight(op, x, lx, x->weight() - 1);
+      auto s2 = copy_with_weight(op, s, ls, s->weight() - 1);
+      auto p2 = oriented(op, p->key, p->weight() + 1, x2.get(), s2.get(), pdir);
       op.write(gp, gdir, p2);
       op.commit();
       return;
     }
-    if (so->weight == 0) {
+    if (so->weight() == 0) {
       // W-ROT single rotation (black sibling, far child red): s takes
       // p's place with w(p); x sheds one weight unit; so turns black.
       //   V = ⟨gp, p, x, s, so⟩   R = ⟨p, x, s, so⟩
@@ -483,10 +489,10 @@ class BasicLlxScxChromatic
       op.remove(lx);
       op.remove(ls);
       op.remove(lso);
-      auto x2 = copy_with_weight(op, x, lx, x->weight - 1);
+      auto x2 = copy_with_weight(op, x, lx, x->weight() - 1);
       auto p2 = oriented(op, p->key, 1, x2.get(), si, pdir);
       auto so2 = copy_with_weight(op, so, lso, 1);
-      auto s2 = oriented(op, s->key, p->weight, p2.get(), so2.get(), pdir);
+      auto s2 = oriented(op, s->key, p->weight(), p2.get(), so2.get(), pdir);
       op.write(gp, gdir, s2);
       op.commit();
       return;
@@ -495,8 +501,8 @@ class BasicLlxScxChromatic
     // p's place with w(p); x sheds one unit; p and s turn black (1).
     // si is internal for the same reason s is in RED-SIB.
     //   V = ⟨gp, p, x, s, si⟩   R = ⟨p, x, s, si⟩
-    assert(!si->leaf && "red leaves cannot exist (leaf weights stay >= 1)");
-    if (si->leaf) return;
+    assert(!si->leaf() && "red leaves cannot exist (leaf weights stay >= 1)");
+    if (si->leaf()) return;
     auto lsi = llx(si);
     if (!lsi.ok()) return;
     Op op;
@@ -507,10 +513,10 @@ class BasicLlxScxChromatic
     op.remove(lsi);
     Node* a = Base::to_node(lsi.field(pdir));      // stays on x's side
     Node* b = Base::to_node(lsi.field(1 - pdir));  // goes to s's side
-    auto x2 = copy_with_weight(op, x, lx, x->weight - 1);
+    auto x2 = copy_with_weight(op, x, lx, x->weight() - 1);
     auto p2 = oriented(op, p->key, 1, x2.get(), a, pdir);
     auto s2 = oriented(op, s->key, 1, b, so, pdir);
-    auto si2 = oriented(op, si->key, p->weight, p2.get(), s2.get(), pdir);
+    auto si2 = oriented(op, si->key, p->weight(), p2.get(), s2.get(), pdir);
     op.write(gp, gdir, si2);
     op.commit();
   }

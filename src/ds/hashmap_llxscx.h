@@ -107,6 +107,18 @@ struct HashMapOccupancy {
   double load_factor = 0.0;    // items / buckets
 };
 
+// The bucket hash: murmur3's 64-bit finalizer (fmix64). It is a bijection
+// in which every output bit depends on every input bit, so its low bits
+// spread dense keys evenly at any power-of-two table size.
+constexpr std::uint64_t fmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xFF51AFD7ED558CCDull;
+  k ^= k >> 33;
+  k *= 0xC4CEB9FE1A85EC53ull;
+  k ^= k >> 33;
+  return k;
+}
+
 // Bucket chains are list-engine chains, and the migration's markers M and
 // D (header comment) are the ListNode kinds kMoved and kDone.
 template <class Reclaim = EbrManager>
@@ -359,11 +371,12 @@ class BasicLlxScxHashMap {
     std::atomic<std::int64_t> items{0};
   };
 
+  // The low bits of fmix64(key). Low bits of one hash are what migration's
+  // split needs: bucket b of t holds exactly the keys of buckets b and
+  // b + |t| of t->next. The mixer spreads dense small-integer key sets
+  // (every bench and test) over all buckets at any table size.
   static std::size_t bucket_of(std::uint64_t key, std::size_t mask) {
-    // Fibonacci multiplicative spread so dense small-integer key sets
-    // (every bench and test) don't pile into the low buckets.
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 32) &
-           mask;
+    return static_cast<std::size_t>(fmix64(key)) & mask;
   }
 
   Table* make_table(std::size_t buckets) const {
@@ -394,9 +407,9 @@ class BasicLlxScxHashMap {
   // anywhere (updates must first drive the finish SCX, which changes it).
   static const Node* chain_of(const Table* t, std::size_t b) {
     const Node* first = L::next_of(t->heads[b]);
-    if (first->kind != Node::kMoved) return first;
+    if (first->kind() != Node::kMoved) return first;
     const Node* fc = L::next_of(first);
-    return fc->kind == Node::kDone ? nullptr : fc;
+    return fc->kind() == Node::kDone ? nullptr : fc;
   }
 
   // An update's position for key: the engine's pinned slot (pred LLXed,
@@ -416,7 +429,7 @@ class BasicLlxScxHashMap {
     for (;;) {
       const std::size_t b = bucket_of(key, t->mask);
       const auto w = L::walk_to(t->heads[b], key);
-      if (w.cur->kind == Node::kMoved) {
+      if (w.cur->kind() == Node::kMoved) {
         t = route(t, b);
         continue;
       }
@@ -520,7 +533,7 @@ class BasicLlxScxHashMap {
     do {
       lm = llx(m);
     } while (!lm.ok());
-    return L::to_node(lm.field(Node::kNext))->kind != Node::kDone;
+    return L::to_node(lm.field(Node::kNext))->kind() != Node::kDone;
   }
 
   // Drive bucket b of t from LIVE through SEALED to MIGRATED (idempotent;
@@ -531,7 +544,7 @@ class BasicLlxScxHashMap {
     Node* const head = t->heads[b];
     for (;;) {
       Node* const m = L::next_of(head);
-      if (m->kind != Node::kMoved) {
+      if (m->kind() != Node::kMoved) {
         seal_bucket(head);
         continue;  // re-read: now head.next is a kMoved marker
       }
@@ -583,7 +596,7 @@ class BasicLlxScxHashMap {
       if (lh.is_finalized()) return;  // sealed by another thread
       if (!lh.ok()) continue;
       Node* const first = L::to_node(lh.field(Node::kNext));
-      if (first->kind == Node::kMoved) return;
+      if (first->kind() == Node::kMoved) return;
       ScxOp<Node, Reclaim> op;
       op.seal(lh);
       bool restart = false;

@@ -55,19 +55,23 @@ struct ListNode : DataRecord<1> {
   //          bucket's head.next, and what the finish SCX points it at.
   enum Kind : std::uint8_t { kItem = 0, kTail = 1, kMoved = 2, kDone = 3 };
 
+  // The kind lives in the header's tag byte.
   ListNode(std::uint64_t k, std::uint64_t v, ListNode* n, Kind kd = kItem)
-      : key(k), value(v), kind(kd) {
+      : DataRecord(kd, 0), key(k), value(v) {
     mut(kNext).store(reinterpret_cast<std::uint64_t>(n),
                      std::memory_order_relaxed);
   }
   explicit ListNode(Kind kd, ListNode* n = nullptr) : ListNode(0, 0, n, kd) {}
 
-  bool item() const { return kind == kItem; }
+  Kind kind() const { return static_cast<Kind>(tag_byte()); }
+  bool item() const { return kind() == kItem; }
 
   const std::uint64_t key;
   const std::uint64_t value;
-  const Kind kind;
 };
+// ⟨header, next, key, value⟩: a 48-byte malloc chunk (size class 1).
+static_assert(sizeof(ListNode) == 40);
+static_assert(EbrManager::size_class_of(sizeof(ListNode)) == 1);
 
 // One chain's head sentinel plus the engine's operations. The multiset,
 // stack and queue each own one List; the hash map owns no List and runs
@@ -217,7 +221,7 @@ class List {
   static void free_chain(Node* n, void (*dispose)(Node*) =
                                       &Reclaim::template dealloc<Node>) {
     while (n != nullptr) {
-      Node* next = n->kind == Node::kTail || n->kind == Node::kDone
+      Node* next = n->kind() == Node::kTail || n->kind() == Node::kDone
                        ? nullptr
                        : next_of(n);
       dispose(n);

@@ -60,23 +60,28 @@ struct PatriciaNode : DataRecord<2> {
   static constexpr std::size_t kRight = 1;
 
   // Branch node: subtree keys agree on bits above `bit` (== prefix) and
-  // split on `bit` itself.
+  // split on `bit` itself, which lives in the header's tag word.
   PatriciaNode(std::uint64_t pfx, unsigned b, PatriciaNode* l, PatriciaNode* r)
-      : prefix(pfx), value(0), bit(b), leaf(false) {
+      : DataRecord(/*leaf=*/0, b), prefix(pfx) {
     mut(kLeft).store(reinterpret_cast<std::uint64_t>(l), std::memory_order_relaxed);
     mut(kRight).store(reinterpret_cast<std::uint64_t>(r), std::memory_order_relaxed);
   }
-  // Leaf: `prefix` holds the full key.
+  // Leaf: `prefix` holds the full key; the value lives in the left child
+  // slot, which no SCX writes (DESIGN.md §7).
   PatriciaNode(std::uint64_t k, std::uint64_t v)
-      : prefix(k), value(v), bit(0), leaf(true) {}
+      : DataRecord(/*leaf=*/1, 0), prefix(k) {
+    mut(kLeft).store(v, std::memory_order_relaxed);
+  }
 
+  bool leaf() const { return tag_byte() != 0; }
+  unsigned bit() const { return tag_word(); }  // branch only; 64 = root
   std::uint64_t key() const { return prefix; }
 
-  const std::uint64_t prefix;  // branch: bits above `bit`; leaf: the key
-  const std::uint64_t value;   // leaves only
-  const unsigned bit;          // branch only (64 marks the root pseudo-branch)
-  const bool leaf;
+  const std::uint64_t prefix;  // branch: bits above bit(); leaf: the key
 };
+// ⟨header, left, right, prefix⟩: a 48-byte malloc chunk (size class 1).
+static_assert(sizeof(PatriciaNode) == 40);
+static_assert(EbrManager::size_class_of(sizeof(PatriciaNode)) == 1);
 
 template <class Reclaim = EbrManager>
 class BasicLlxScxPatricia
@@ -102,10 +107,10 @@ class BasicLlxScxPatricia
 
  private:
   // Bit routing hides the template's external-BST key order (is_leaf and
-  // value_of are the template's: same `leaf` and `value` fields).
+  // value_of are the template's: the same leaf() tag and left-slot value).
   static std::uint64_t key_of(const Node* n) { return n->key(); }
   static std::size_t dir_of(const Node* n, std::uint64_t key) {
-    return (key >> n->bit) & 1 ? Node::kRight : Node::kLeft;
+    return (key >> n->bit()) & 1 ? Node::kRight : Node::kLeft;
   }
   // The pseudo-branch root (bit 64) must not be routed by bit: the trie
   // is always its left child.
@@ -115,13 +120,13 @@ class BasicLlxScxPatricia
   // fields, so re-checking n from p's LLX snapshot revalidates the whole
   // position.
   static bool can_descend(const Node* n, std::uint64_t key) {
-    return !n->leaf && matches_prefix(n, key);
+    return !n->leaf() && matches_prefix(n, key);
   }
   static bool is_user_leaf(const Node* n) { return n->key() != kSentinelKey; }
 
-  // Does `key` agree with branch n on every bit above n->bit?
+  // Does `key` agree with branch n on every bit above n->bit()?
   static bool matches_prefix(const Node* n, std::uint64_t key) {
-    return ((key ^ n->prefix) >> n->bit) >> 1 == 0;
+    return ((key ^ n->prefix) >> n->bit()) >> 1 == 0;
   }
 
   Fresh<Node> copy_for_erase(Op& op, Node* /*p*/, Node* s, const Snapshot& ls) {
@@ -132,10 +137,11 @@ class BasicLlxScxPatricia
   // snapshotted children), minted through the op so the builder owns it
   // until commit — the fresh-node discipline, §8 rule 3.
   static Fresh<Node> copy_of(Op& op, const Node* n, const Snapshot& ln) {
-    return n->leaf ? op.freshly(n->key(), n->value)
-                   : op.freshly(n->prefix, n->bit,
-                                Base::to_node(ln.field(Node::kLeft)),
-                                Base::to_node(ln.field(Node::kRight)));
+    return n->leaf()
+               ? op.freshly(n->key(), Base::value_of(n))
+               : op.freshly(n->prefix, n->bit(),
+                            Base::to_node(ln.field(Node::kLeft)),
+                            Base::to_node(ln.field(Node::kRight)));
   }
 
   // range() pruning: a branch's dir subtree covers exactly the key
@@ -144,10 +150,10 @@ class BasicLlxScxPatricia
   // pseudo-branch has the whole trie on its left, nothing on its right.
   static bool scan_dir(const Node* n, std::size_t dir, std::uint64_t lo,
                        std::uint64_t hi) {
-    if (n->bit >= 64) return dir == Node::kLeft;
+    if (n->bit() >= 64) return dir == Node::kLeft;
     const std::uint64_t base =
-        n->prefix | (std::uint64_t{dir != 0} << n->bit);
-    const std::uint64_t top = base | ((std::uint64_t{1} << n->bit) - 1);
+        n->prefix | (std::uint64_t{dir != 0} << n->bit());
+    const std::uint64_t top = base | ((std::uint64_t{1} << n->bit()) - 1);
     return base <= hi && top >= lo;
   }
 
@@ -155,9 +161,9 @@ class BasicLlxScxPatricia
   // nested within the caller's, so plain assignment narrows correctly.
   static void clamp_interval(const Node* n, std::size_t dir, std::uint64_t& lo,
                              std::uint64_t& hi) {
-    if (n->bit >= 64) return;  // root pseudo-branch: no constraint
-    lo = n->prefix | (std::uint64_t{dir != 0} << n->bit);
-    hi = lo | ((std::uint64_t{1} << n->bit) - 1);
+    if (n->bit() >= 64) return;  // root pseudo-branch: no constraint
+    lo = n->prefix | (std::uint64_t{dir != 0} << n->bit());
+    hi = lo | ((std::uint64_t{1} << n->bit()) - 1);
   }
 
   // insert_all() group bound: 2·G+1 fresh nodes must fit the ScxOp fresh
@@ -173,7 +179,7 @@ class BasicLlxScxPatricia
   // t's branch prefix = the low end of its covered interval — group keys
   // never fall inside that interval, they all mismatch t's prefix, so
   // representative order is trie order and every split bit chosen
-  // between items stays above t->bit). For one key k that is
+  // between items stays above t->bit()). For one key k that is
   // branch(b, leaf(k), t′) on the highest bit b where k and t differ —
   // a leaf's split and a compressed branch edge's split alike.
   Fresh<Node> build_group(Op& op, Node* t, const Snapshot& lt,
@@ -184,7 +190,7 @@ class BasicLlxScxPatricia
       Node* node;
     };
     Item items[kGroupCap + 1];
-    const std::uint64_t trep = t->leaf ? t->key() : t->prefix;
+    const std::uint64_t trep = t->leaf() ? t->key() : t->prefix;
     std::size_t cnt = 0;
     bool placed = false;
     for (std::size_t a = 0; a < m; ++a) {

@@ -14,10 +14,11 @@
 // Patricia trie, and the chromatic tree. This header writes it once.
 //
 // TreeTemplate<Derived, Node, Reclaim> is a CRTP base. The routing hooks
-// have defaults here: the external-BST key order (a node with `leaf`,
-// `key` and `value` fields; left iff key < n->key; user keys below
-// Derived::kInf1), which the BST and the chromatic tree inherit. The
-// Patricia trie hides the key-order ones with its bit-routed versions.
+// have defaults here: the external-BST key order (a node with a leaf()
+// tag and a `key` field, whose leaves keep their value in the left child
+// slot; left iff key < n->key; user keys below Derived::kInf1), which the
+// BST and the chromatic tree inherit. The Patricia trie hides the
+// key-order ones with its bit-routed versions.
 //
 //   static is_leaf(n)            leaf/interior discrimination
 //   static key_of(n), value_of(n)  immutable payload access
@@ -460,9 +461,14 @@ class TreeTemplate {
   // sentinels. The BST and the chromatic tree inherit these; Patricia
   // hides the key-order ones with its bit routing. Every hook reads only
   // immutable fields, so routing and pruning cost no shared reads.
-  static bool is_leaf(const Node* n) { return n->leaf; }
+  static bool is_leaf(const Node* n) { return n->leaf(); }
   static std::uint64_t key_of(const Node* n) { return n->key; }
-  static std::uint64_t value_of(const Node* n) { return n->value; }
+  // A leaf keeps its value in its left child slot. No SCX ever writes a
+  // leaf's field, so the slot is immutable data, not a shared step: an
+  // uncounted relaxed load (DESIGN.md §7 has the ordering argument).
+  static std::uint64_t value_of(const Node* n) {
+    return n->mut(Node::kLeft).load(mo::relaxed);
+  }
   static std::size_t dir_of(const Node* n, std::uint64_t key) {
     return key < n->key ? Node::kLeft : Node::kRight;
   }
@@ -472,7 +478,7 @@ class TreeTemplate {
   }
   // Insert's walk ends at the leaf.
   static bool can_descend(const Node* n, std::uint64_t /*key*/) {
-    return !n->leaf;
+    return !n->leaf();
   }
   static bool is_user_leaf(const Node* n) { return n->key < Derived::kInf1; }
   // range() pruning: may the dir subtree of interior n intersect [lo, hi]?

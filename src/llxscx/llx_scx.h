@@ -162,23 +162,44 @@ inline std::size_t detail_my_scx_slot() {
 }
 
 // Non-template base so SCX-records and helpers handle records of any width.
+// The header is the paper's info word and marked bit. Two immutable tags,
+// one byte and one 32-bit word, fill what would otherwise be its padding:
+// the node types keep their small immutable fields there (a leaf flag, a
+// chromatic weight, a Patricia bit index, a list node's kind), so the
+// header stays 16 B and a node needs no padded field of its own. No SCX
+// writes a tag.
 class DataRecordBase {
  public:
   DataRecordBase() = default;
+  DataRecordBase(std::uint8_t tag_byte, std::uint32_t tag_word)
+      : tag_byte_(tag_byte), tag_word_(tag_word) {}
   DataRecordBase(const DataRecordBase&) = delete;
   DataRecordBase& operator=(const DataRecordBase&) = delete;
 
+  std::uint8_t tag_byte() const { return tag_byte_; }
+  std::uint32_t tag_word() const { return tag_word_; }
+
   std::atomic<std::uint64_t> info_{0};  // info word of the last freezer
   std::atomic<bool> marked_{false};
+
+ private:
+  const std::uint8_t tag_byte_ = 0;
+  const std::uint32_t tag_word_ = 0;
 };
+static_assert(sizeof(DataRecordBase) == 16, "the tags must fit the padding");
 
 // A Data-record with NumMut mutable fields (each one CAS-able word).
-// Immutable fields live in the derived struct as plain members. mut() is
-// const so read-only accessors on derived types can use it.
+// Immutable fields live in the derived struct as plain members, or in the
+// header's tags. mut() is const so read-only accessors on derived types
+// can use it.
 template <std::size_t NumMut>
 class DataRecord : public DataRecordBase {
  public:
   static constexpr std::size_t kNumMut = NumMut;
+
+  DataRecord() = default;
+  DataRecord(std::uint8_t tag_byte, std::uint32_t tag_word)
+      : DataRecordBase(tag_byte, tag_word) {}
 
   std::atomic<std::uint64_t>& mut(std::size_t i) const { return mut_[i]; }
 

@@ -409,22 +409,23 @@ class Epoch {
 
   // Moves `rec`'s expired nodes out under its lock into the scanning
   // thread's reused buffer, counting them in `rec->freed`, then frees them
-  // with no lock held.
+  // with no lock held. A limbo list is in retire order: its owners push
+  // stamps of one state's monotonic `global`, one owner at a time, and
+  // scans remove only a prefix. So the expired nodes are a prefix, and a
+  // scan stops at the first node that has not expired. That keeps the
+  // scans of one long guard linear: a hash-map table swap retires three
+  // nodes per old bucket under its own reservation, none of which can
+  // expire before it ends, and every 64th retire scans.
   static void scan_one(State& s, ThreadRec* rec) {
     const std::uint64_t min_res = min_reservation(s);
     thread_local std::vector<Retired> expired;
     expired.clear();
     {
       SpinLock lock(rec->mu);
-      auto split = rec->limbo.begin();
-      for (auto it = rec->limbo.begin(); it != rec->limbo.end(); ++it) {
-        if (it->epoch < min_res) {
-          expired.push_back(*it);
-        } else {
-          *split++ = *it;
-        }
-      }
-      rec->limbo.erase(split, rec->limbo.end());
+      auto end = rec->limbo.begin();
+      while (end != rec->limbo.end() && end->epoch < min_res) ++end;
+      expired.assign(rec->limbo.begin(), end);
+      rec->limbo.erase(rec->limbo.begin(), end);
       rec->freed += expired.size();
     }
     for (const Retired& r : expired) r.del(r.p);

@@ -23,10 +23,10 @@
 //
 // Splitter policy: shard routing must not consume the bits the engine
 // hashes next. The default HighBitsSplitter takes the TOP shard_bits of
-// the same Fibonacci product whose bits 32..63 the hash map's bucket_of
-// uses — with shard counts ≤ 2^16 and bucket counts < 2^32 the two
-// windows are disjoint, so per-shard hashmaps don't see all their keys
-// land in a bucket-aligned stripe.
+// key × φ, and the hash map's bucket_of takes the LOW bits of fmix64(key),
+// a different function: the two never share a window, so a shard's keys
+// spread over all of its hash map's buckets instead of landing in a
+// bucket-aligned stripe.
 //
 // ShardedMap itself satisfies LlxScxContainer: kName composes the engine
 // name at compile time ("sharded+<engine>"), size() sums per-shard sizes
@@ -55,10 +55,9 @@
 namespace llxscx {
 
 // Default shard router. Multiplicative (Fibonacci) hash, keeping the TOP
-// `shard_bits` — disjoint from the window bucket_of extracts (bits
-// 32..63 counted from the low end reach the top only when the mask needs
-// > 2^(32-shard_bits) buckets), so sharded hashmaps re-use no routing
-// bits. shard_bits == 0 maps everything to shard 0.
+// `shard_bits`. The hash map buckets by the low bits of fmix64(key), so
+// sharded hashmaps re-use no routing bits at any table size.
+// shard_bits == 0 maps everything to shard 0.
 struct HighBitsSplitter {
   std::size_t operator()(std::uint64_t key, std::size_t shard_bits) const {
     if (shard_bits == 0) return 0;

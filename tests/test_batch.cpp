@@ -330,11 +330,15 @@ TEST(EbrManagerSizeClasses, MappingIsMallocChunkSizes) {
   static_assert(EbrManager::size_class_bytes(0) == 24);
   static_assert(EbrManager::size_class_bytes(2) == 56);
   static_assert(EbrManager::size_class_bytes(15) == 264);
-  // The two hot node types share the 56-byte class (64-byte chunks).
-  static_assert(sizeof(ChromaticNode) == 56);
-  static_assert(sizeof(ListNode) == 48);
-  static_assert(EbrManager::size_class_of(sizeof(ChromaticNode)) == 2);
-  static_assert(EbrManager::size_class_of(sizeof(ListNode)) == 2);
+  // Every node type is 40 B and shares the 40-byte class (48-byte chunks).
+  static_assert(sizeof(ChromaticNode) == 40);
+  static_assert(sizeof(BstNode) == 40);
+  static_assert(sizeof(PatriciaNode) == 40);
+  static_assert(sizeof(ListNode) == 40);
+  static_assert(EbrManager::size_class_of(sizeof(ChromaticNode)) == 1);
+  static_assert(EbrManager::size_class_of(sizeof(BstNode)) == 1);
+  static_assert(EbrManager::size_class_of(sizeof(PatriciaNode)) == 1);
+  static_assert(EbrManager::size_class_of(sizeof(ListNode)) == 1);
   for (std::size_t bytes = 1; bytes <= 264; ++bytes) {
     const std::size_t cls = EbrManager::size_class_of(bytes);
     ASSERT_LT(cls, EbrManager::kNumSizeClasses);

@@ -4,7 +4,9 @@
 // via consistency_error(), the O(log n) sequential-insert depth pinned
 // against the unbalanced BST's linear depth, deterministic rebalancing
 // shapes, a 4-thread locked-oracle stress, and a small-key-space churn
-// that recycles rotation sections' storage.
+// that recycles rotation sections' storage. LeafValues runs over every
+// tree: a leaf keeps its value in its left child slot, and values a
+// layout could mistake for a child must survive every read and copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,16 +14,23 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <random>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "ds/bst_llxscx.h"
 #include "ds/chromatic_llxscx.h"
+#include "ds/container_api.h"
 #include "ds/patricia_llxscx.h"
+#include "service/sharded_map.h"
 #include "util/random.h"
 
 #include "tests/test_common.h"
+#include "tests/test_engines.h"
 
 namespace llxscx {
 namespace {
@@ -217,6 +226,195 @@ TEST(Chromatic, RebalancingScxShapesArePinned) {
   EXPECT_EQ(d.allocations, 4u) << "insert 3, recolor copy 1";
   EXPECT_EQ(d.retires, 2u) << "insert R = ⟨l⟩, recolor R = ⟨tree-root⟩";
   EXPECT_EQ(t.consistency_error(), std::nullopt);
+  Epoch::drain_all_for_testing();
+}
+
+// --- Leaf values: a leaf's value lives in its left child slot --------------
+//
+// Every tree keeps a leaf's value in the slot where an interior node keeps
+// its left child (DESIGN.md §11). The values below would break a layout
+// that confused the two: 0 and 1 (null and a misaligned pointer), 2^63 and
+// ~0 (non-canonical addresses), and the address of a live node of the
+// tree's own type (a walk that followed it would land on a real leaf).
+// Each must come back unchanged through get, multi_get's lanes, range,
+// items() and insert_all's bulk build, after erasing neighbours (the
+// sibling copy), after the re-inserts and erases that run chromatic
+// cleanup's leaf recolor copies (PUSH, W-ROT, W-DBL), and through a
+// 2-thread churn checked against a locked oracle.
+
+template <class Node>
+std::unique_ptr<Node> live_leaf() {
+  if constexpr (std::is_same_v<Node, ChromaticNode>) {
+    return std::make_unique<Node>(7, 7, 1u);
+  } else {
+    return std::make_unique<Node>(7, 7);
+  }
+}
+
+// ShardedMap serves neither get() nor items(): read them shard by shard.
+template <class C>
+std::optional<std::uint64_t> tree_get(const C& c, std::uint64_t key) {
+  if constexpr (requires { c.get(key); }) {
+    return c.get(key);
+  } else {
+    std::optional<std::uint64_t> v;
+    c.for_each_shard([&](std::size_t i, const auto& e, auto) {
+      if (i == c.shard_for(key)) v = e.get(key);
+    });
+    return v;
+  }
+}
+
+template <class C>
+RangeOut tree_items(const C& c) {
+  if constexpr (HasItems<C>) {
+    return c.items();
+  } else {
+    RangeOut all;
+    c.for_each_shard([&](std::size_t, const auto& e, auto) {
+      const RangeOut part = e.items();
+      all.insert(all.end(), part.begin(), part.end());
+    });
+    std::sort(all.begin(), all.end());
+    return all;
+  }
+}
+
+// The chromatic audit, shard by shard for ShardedMap; the BST and the
+// Patricia trie have none.
+template <class C>
+std::optional<std::string> tree_audit(const C& c) {
+  if constexpr (requires { c.consistency_error(); }) {
+    return c.consistency_error();
+  } else if constexpr (requires(const engine_t<C>& e) {
+                         e.consistency_error();
+                       }) {
+    std::optional<std::string> err;
+    c.for_each_shard([&](std::size_t, const auto& e, auto) {
+      if (!err) err = e.consistency_error();
+    });
+    return err;
+  } else {
+    return std::nullopt;
+  }
+}
+
+template <class C>
+class LeafValues : public ::testing::Test {};
+using LeafValueTrees = ::testing::Types<LlxScxBst, LlxScxPatricia,
+                                        LlxScxChromatic,
+                                        ShardedMap<LlxScxChromatic>>;
+TYPED_TEST_SUITE(LeafValues, LeafValueTrees);
+
+TYPED_TEST(LeafValues, SurviveEveryTreePath) {
+  using Node = typename engine_t<TypeParam>::Node;
+  const std::unique_ptr<Node> live = live_leaf<Node>();
+  const std::uint64_t vals[] = {0, 1, std::uint64_t{1} << 63,
+                                ~std::uint64_t{0},
+                                reinterpret_cast<std::uint64_t>(live.get())};
+  constexpr std::uint64_t kNumVals = std::size(vals);
+  const auto val = [&](std::uint64_t k) { return vals[k % kNumVals]; };
+  constexpr std::uint64_t kKeys = 1000;
+
+  // Every read path against the expected ⟨key, val(key)⟩ set.
+  const auto expect_values = [&](const TypeParam& t, auto present,
+                                 const char* when) {
+    RangeOut want;
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 1; k <= kKeys + 8; ++k) {
+      keys.push_back(k);
+      if (k <= kKeys && present(k)) want.emplace_back(k, val(k));
+    }
+    for (std::uint64_t k : keys) {
+      const auto v = tree_get(t, k);
+      ASSERT_EQ(v.has_value(), k <= kKeys && present(k)) << when << " " << k;
+      if (v) {
+        ASSERT_EQ(*v, val(k)) << when << " get " << k;
+      }
+    }
+    std::unique_ptr<bool[]> hit(new bool[keys.size()]);
+    t.multi_get(keys.data(), keys.size(), hit.get());
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(hit[i], tree_get(t, keys[i]).has_value())
+          << when << " multi_get " << keys[i];
+    }
+    RangeOut got;
+    t.range(0, kKeys + 8, got);
+    EXPECT_EQ(got, want) << when << " range";
+    EXPECT_EQ(tree_items(t), want) << when << " items";
+    EXPECT_EQ(tree_audit(t), std::nullopt) << when;
+  };
+
+  TypeParam scalar;  // one insert per key, ascending
+  TypeParam bulk;    // insert_all: one ascending run per value
+  for (std::uint64_t k = 1; k <= kKeys; ++k) {
+    ASSERT_TRUE(scalar.insert(k, val(k))) << k;
+  }
+  for (std::uint64_t r = 0; r < kNumVals; ++r) {
+    std::vector<std::uint64_t> run;
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
+      if (k % kNumVals == r) run.push_back(k);
+    }
+    ASSERT_EQ(bulk.insert_all(run.data(), run.size(), vals[r]), run.size());
+  }
+  for (TypeParam* t : {&scalar, &bulk}) {
+    expect_values(*t, [](std::uint64_t) { return true; }, "after insert");
+    // Each erase copies the removed leaf's sibling; on the chromatic tree
+    // a copied leaf that absorbs its parent's weight turns overweight, and
+    // cleanup copies it again with a new weight.
+    for (std::uint64_t k = 3; k <= kKeys; k += 3) ASSERT_TRUE(t->erase(k));
+    expect_values(*t, [](std::uint64_t k) { return k % 3 != 0; },
+                  "after erase");
+    for (std::uint64_t k = 3; k <= kKeys; k += 3) {
+      ASSERT_TRUE(t->insert(k, val(k)));
+    }
+    for (std::uint64_t k = 2; k <= kKeys; k += 4) ASSERT_TRUE(t->erase(k));
+    expect_values(*t, [](std::uint64_t k) { return k % 4 != 2; },
+                  "after re-insert");
+  }
+
+  {
+    constexpr std::uint64_t kSpace = 256;
+    TypeParam t;
+    testing::KeyedOracle oracle;
+    const std::uint64_t ops = testing::run_stress_workers(
+        2, 6000, [&](int, Xoshiro256& rng, const std::atomic<bool>& stop) {
+          testing::KeyedOracle::Recorder rec(oracle);
+          RangeOut w;
+          std::uint64_t n = 0;
+          while (!stop.load(std::memory_order_relaxed)) {
+            const std::uint64_t key = 1 + rng.below(kSpace);
+            const unsigned dice = static_cast<unsigned>(rng.below(100));
+            if (dice < 40) {
+              if (t.insert(key, val(key))) rec.add(key, 1);
+            } else if (dice < 80) {
+              if (t.erase(key)) rec.add(key, -1);
+            } else if (dice < 90) {
+              const auto v = tree_get(t, key);
+              if (v) {
+                EXPECT_EQ(*v, val(key)) << key;
+              }
+            } else {
+              w.clear();
+              t.range(key, key + 7, w);
+              for (const auto& [k, v] : w) EXPECT_EQ(v, val(k)) << k;
+            }
+            ++n;
+          }
+          return n;
+        });
+    EXPECT_GT(ops, 0u);
+    for (std::uint64_t k = 1; k <= kSpace; ++k) {
+      const std::int64_t net = oracle.net(k);
+      ASSERT_TRUE(net == 0 || net == 1) << "oracle accounting bug at " << k;
+      const auto v = tree_get(t, k);
+      ASSERT_EQ(v.has_value(), net == 1) << "divergence at key " << k;
+      if (v) {
+        EXPECT_EQ(*v, val(k)) << k;
+      }
+    }
+    EXPECT_EQ(tree_audit(t), std::nullopt);
+  }
   Epoch::drain_all_for_testing();
 }
 

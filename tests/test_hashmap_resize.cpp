@@ -88,26 +88,29 @@ TYPED_TEST(HashMapGrowth, SingleBucketToHundredThousandKeys) {
     EXPECT_EQ(empty.nonempty_buckets, 0u);
     EXPECT_EQ(empty.max_bucket, 0u);
     EXPECT_EQ(empty.load_factor, 0.0);
-    // Sequential keys must spread over the buckets. Pinned at 2^12 keys
-    // (2^10 buckets): past 2^13 buckets bucket_of, which keeps bits 32 and
-    // up of key × φ, leaves most buckets empty for dense keys.
-    constexpr std::uint64_t kSpreadKeys = 4096;
-    for (std::uint64_t k = 1; k <= kKeys; ++k) {
-      ASSERT_TRUE(m.upsert(k, k * 3));
-      if (k != kSpreadKeys) continue;
-      settle(m);
-      const HashMapOccupancy spread = m.occupancy();
+    // Sequential keys must spread over the buckets, checked at 2^12 keys
+    // (2^10 buckets) and again at the end (2^15 buckets): bucket_of's low
+    // bits of fmix64(key) spread dense keys at any table size.
+    const auto expect_spread = [&m](const HashMapOccupancy& spread) {
       EXPECT_GE(spread.nonempty_buckets, m.bucket_count() / 2)
           << "sequential keys must not pile into a few buckets";
       EXPECT_LE(spread.max_bucket,
                 BasicLlxScxHashMap<TypeParam>::kStallChainLen)
           << "no chain may outgrow the backpressure bound";
+    };
+    constexpr std::uint64_t kSpreadKeys = 4096;
+    for (std::uint64_t k = 1; k <= kKeys; ++k) {
+      ASSERT_TRUE(m.upsert(k, k * 3));
+      if (k != kSpreadKeys) continue;
+      settle(m);
+      expect_spread(m.occupancy());
     }
     settle(m);
     EXPECT_EQ(m.size(), kKeys);
     EXPECT_GE(m.bucket_count(), kKeys / (2 * kQuiescentChainBound))
         << "the trigger must have kept doubling all the way up";
     const HashMapOccupancy o = m.occupancy();
+    expect_spread(o);
     EXPECT_EQ(o.buckets, m.bucket_count());
     EXPECT_EQ(o.items, kKeys);
     EXPECT_DOUBLE_EQ(
@@ -135,14 +138,57 @@ TYPED_TEST(HashMapGrowth, SingleBucketToHundredThousandKeys) {
       << "every migrated chain, marker, and bucket array must drain";
 }
 
-// Keys j << 40 all land in one bucket until the table reaches 512 buckets:
-// bucket_of keeps bits 32 and up of key × φ, and those products are zero
-// below bit 40. So the early inserts keep hitting the backpressure bound
-// in a next table that is not yet table_ and has no successor of its own;
-// routing there must grow the table, never hand back a null one. Run once
-// from one thread and once from four writers on disjoint key blocks.
+// Dense keys must not over-grow the table. 1..10^6 inserted serially into
+// a 1-bucket map end at exactly 2^18 buckets, the size the load-factor
+// trigger (kGrowLoadFactor items per bucket) asks for, with every chain
+// below the backpressure bound. A bucket hash whose low bits stop
+// spreading dense keys (bits 32 and up of key × φ did, past about 2^13
+// buckets) overflows kStallChainLen there, and backpressure forces one
+// doubling too many. The 100k keys of LLXSCX_RESIZE_KEYS in CI do not
+// show that defect (their longest chain was 15), so the count is fixed.
+TYPED_TEST(HashMapGrowth, MillionDenseKeysStopAtTheLoadFactor) {
+  constexpr std::uint64_t kKeys = 1'000'000;
+  {
+    BasicLlxScxHashMap<TypeParam> m(1);
+    for (std::uint64_t k = 1; k <= kKeys; ++k) ASSERT_TRUE(m.upsert(k, k));
+    settle(m);
+    EXPECT_EQ(m.bucket_count(), std::size_t{1} << 18);
+    const HashMapOccupancy o = m.occupancy();
+    EXPECT_EQ(o.items, kKeys);
+    EXPECT_LT(o.max_bucket, BasicLlxScxHashMap<TypeParam>::kStallChainLen);
+  }
+  Epoch::drain_all_for_testing();
+  EXPECT_EQ(Epoch::outstanding(), 0u);
+}
+
+// fmix64⁻¹: the finalizer's steps undone in reverse order. x ^ (x >> 33)
+// is its own inverse (33 ≥ 32), and each odd multiplier has an inverse
+// mod 2^64.
+constexpr std::uint64_t unmix64(std::uint64_t k) {
+  k ^= k >> 33;
+  k *= 0x9CB4B2F8129337DBull;  // 0xC4CEB9FE1A85EC53⁻¹
+  k ^= k >> 33;
+  k *= 0x4F74430C22A54005ull;  // 0xFF51AFD7ED558CCD⁻¹
+  k ^= k >> 33;
+  return k;
+}
+static_assert(0xC4CEB9FE1A85EC53ull * 0x9CB4B2F8129337DBull == 1);
+static_assert(0xFF51AFD7ED558CCDull * 0x4F74430C22A54005ull == 1);
+static_assert(fmix64(unmix64(0x123456789ABCDEFull)) == 0x123456789ABCDEFull);
+
+// Keys fmix64⁻¹(j << 9) all land in bucket 0 of every table of up to 512
+// buckets: bucket_of keeps the low bits of fmix64(key), and those hashes
+// are zero below bit 9. (The map reserves no key, and fmix64⁻¹ maps only
+// 0 to 0, so every j ≥ 1 gives a distinct nonzero key.) So the early
+// inserts keep hitting the backpressure bound in a next table that is not
+// yet table_ and has no successor of its own; routing there must grow the
+// table, never hand back a null one. Run once from one thread and once
+// from four writers on disjoint key blocks.
 TYPED_TEST(HashMapGrowth, CollidingKeysGrowPastTheCollision) {
-  const auto key = [](std::uint64_t j) { return j << 40; };
+  const auto key = [](std::uint64_t j) { return unmix64(j << 9); };
+  for (std::uint64_t j = 1; j <= 2000; ++j) {
+    ASSERT_EQ(fmix64(key(j)) & 511, 0u) << j;
+  }
   const auto check = [&](BasicLlxScxHashMap<TypeParam>& m, std::uint64_t n) {
     for (std::uint64_t j = 1; j <= n; ++j) {
       const auto v = m.get(key(j));
