@@ -263,7 +263,7 @@ class BasicLlxScxChromatic
       Node* p = &root_;
       std::size_t ggdir = 0, gdir = 0;
       std::size_t pdir = Base::dir_of(p, key);
-      Node* n = Base::read_child(p, pdir);
+      Node* n = Base::read_routed(p, pdir);
       for (;;) {
         const bool overweight = n->weight() >= 2;
         const bool redred =
@@ -283,7 +283,7 @@ class BasicLlxScxChromatic
         gdir = pdir;
         p = n;
         pdir = Base::dir_of(p, key);
-        n = Base::read_child(p, pdir);
+        n = Base::read_routed(p, pdir);
       }
     }
   }

@@ -98,8 +98,8 @@ class TreeTemplate {
 
   std::optional<std::uint64_t> get(std::uint64_t key) const {
     Epoch::Guard g;
-    const Node* n = read_child(self().root_ptr(), self().root_dir(key));
-    while (!Derived::is_leaf(n)) n = read_child(n, Derived::dir_of(n, key));
+    const Node* n = read_routed(self().root_ptr(), self().root_dir(key));
+    while (!Derived::is_leaf(n)) n = read_routed(n, Derived::dir_of(n, key));
     if (Derived::key_of(n) == key) return Derived::value_of(n);
     return std::nullopt;
   }
@@ -113,8 +113,8 @@ class TreeTemplate {
   // Up to kLanes descents run interleaved: each lane takes one root-to-
   // leaf step per round-robin turn and prefetches the child it will visit
   // next, overlapping the lanes' cache misses (a scalar walk serializes
-  // one miss per level). Every step is the SAME instrumented read_child a
-  // scalar get() issues, in the same per-key order — plain acquire reads
+  // one miss per level). Every step is the SAME instrumented read_routed a
+  // scalar get() takes, in the same per-key order — plain acquire reads
   // only (Proposition 2), 0 LLX, 0 CAS, per-key read counts identical to
   // get(). One epoch guard covers the call; linearization is per key,
   // exactly as if the gets were issued back to back (a batch is not a
@@ -127,7 +127,7 @@ class TreeTemplate {
       const Node* cur[kLanes];  // nullptr ⇒ lane answered
       for (std::size_t l = 0; l < m; ++l) {
         const std::uint64_t key = keys[base + l];
-        const Node* c = read_child(self().root_ptr(), self().root_dir(key));
+        const Node* c = read_routed(self().root_ptr(), self().root_dir(key));
         __builtin_prefetch(c);
         cur[l] = c;
       }
@@ -142,7 +142,7 @@ class TreeTemplate {
             cur[l] = nullptr;
             --live;
           } else {
-            const Node* nx = read_child(c, Derived::dir_of(c, key));
+            const Node* nx = read_routed(c, Derived::dir_of(c, key));
             __builtin_prefetch(nx);
             cur[l] = nx;
           }
@@ -297,12 +297,19 @@ class TreeTemplate {
       std::uint64_t glo = 0;
       std::uint64_t ghi = ~std::uint64_t{0};
       Derived::clamp_interval(p, dir, glo, ghi);
-      Node* t = read_child(p, dir);
+      Node* t = read_routed(p, dir);
       while (Derived::can_descend(t, key)) {
         p = t;
         dir = Derived::dir_of(p, key);
         Derived::clamp_interval(p, dir, glo, ghi);
-        t = read_child(p, dir);
+        t = read_routed(p, dir);
+      }
+      // A walk that ends at keys[i]'s own leaf decides it, as get() would:
+      // the key was present when the walk read that leaf (Proposition 2).
+      // It is consumed with no LLX.
+      if (Derived::is_leaf(t) && Derived::key_of(t) == key) {
+        ++i;
+        continue;
       }
       auto lp = llx(p);
       if (!lp.ok()) continue;  // frozen or finalized underfoot: re-walk
@@ -379,18 +386,20 @@ class TreeTemplate {
       std::size_t gdir = 0;
       Node* p = self().root_ptr();
       std::size_t dir = self().root_dir(key);
-      for (Node* n = read_child(p, dir); !Derived::is_leaf(n);) {
+      Node* n = read_routed(p, dir);
+      while (!Derived::is_leaf(n)) {
         gp = p;
         gdir = dir;
         p = n;
         dir = Derived::dir_of(p, key);
-        n = read_child(p, dir);
+        n = read_routed(p, dir);
       }
-      if (gp == nullptr) {
-        // Depth-1 leaf: only sentinels live there (every structure's
-        // sentinel argument), so the key is absent.
-        return false;
-      }
+      // A walk that ends at another key's leaf decides the erase, as get()
+      // would: the key was absent when the walk read that leaf
+      // (Proposition 2), so it answers false with no LLX. A depth-1 leaf
+      // (gp == nullptr) is a sentinel (every structure's sentinel
+      // argument), so no user key is there either.
+      if (gp == nullptr || Derived::key_of(n) != key) return false;
       auto lgp = llx(gp);
       if (!lgp.ok()) continue;
       Node* p2 = to_node(lgp.field(gdir));
@@ -487,14 +496,18 @@ class TreeTemplate {
     return dir == Node::kLeft ? lo < n->key : hi >= n->key;
   }
   // insert_all() interval tracking: narrow [lo, hi] to the keys routed
-  // into n's dir subtree.
+  // into n's dir subtree — left: hi ≤ key − 1 (which wraps to no bound at
+  // key 0), right: lo ≥ key. Both bounds are masked by dir, not branched
+  // on it: a branch here leads GCC to branch the walk's read_routed pick
+  // on dir as well.
   static void clamp_interval(const Node* n, std::size_t dir, std::uint64_t& lo,
                              std::uint64_t& hi) {
-    if (dir == Node::kLeft) {
-      if (n->key > 0 && n->key - 1 < hi) hi = n->key - 1;
-    } else {
-      if (n->key > lo) lo = n->key;
-    }
+    static_assert(Node::kLeft == 0 && Node::kRight == 1);
+    const std::uint64_t right = std::uint64_t{0} - dir;  // all ones iff right
+    const std::uint64_t top = (n->key - 1) | right;
+    const std::uint64_t bottom = n->key & right;
+    hi = top < hi ? top : hi;
+    lo = bottom > lo ? bottom : lo;
   }
 
   // Hook defaults: structures without post-commit work (BST, Patricia)
@@ -527,11 +540,26 @@ class TreeTemplate {
   }
 
   static Node* to_node(std::uint64_t w) { return reinterpret_cast<Node*>(w); }
+  // One shared read of a child word, for reads whose direction is fixed
+  // (range, walk(), consistency_error()).
   static Node* read_child(const Node* n, std::size_t dir) {
     Stats::count_read();
     // acquire: pairs with the committing SCX's release update-CAS — a
     // node's immutable fields are visible before its address is reachable.
     return to_node(n->mut(dir).load(mo::acquire));
+  }
+  // The key-routed step, for every walk that routes by key (get, the
+  // multi_get lanes, insert_all, erase, chromatic cleanup): it loads both
+  // child words beside the routing key and picks one with a conditional
+  // move, so the child's load never waits on the compare and a level costs
+  // one load latency, not two (DESIGN.md §11). One shared read, as
+  // read_child: the sibling word is loaded but never followed (§5).
+  static Node* read_routed(const Node* n, std::size_t dir) {
+    static_assert(Node::kNumMut == 2, "routed walks descend binary trees");
+    Stats::count_read();
+    const std::uint64_t l = n->mut(Node::kLeft).load(mo::acquire);
+    const std::uint64_t r = n->mut(Node::kRight).load(mo::acquire);
+    return to_node(dir == Node::kLeft ? l : r);
   }
 
  private:

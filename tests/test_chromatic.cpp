@@ -4,9 +4,12 @@
 // via consistency_error(), the O(log n) sequential-insert depth pinned
 // against the unbalanced BST's linear depth, deterministic rebalancing
 // shapes, a 4-thread locked-oracle stress, and a small-key-space churn
-// that recycles rotation sections' storage. LeafValues runs over every
-// tree: a leaf keeps its value in its left child slot, and values a
-// layout could mistake for a child must survive every read and copy.
+// that recycles rotation sections' storage. Three typed suites run over
+// every tree: LeafValues (a leaf keeps its value in its left child slot,
+// and values a layout could mistake for a child must survive every read
+// and copy), RoutingBoundary (the key-routed step's pick at present keys
+// and their neighbours) and FailedUpdates (an insert of a present key and
+// an erase of an absent key take no LLX).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -301,10 +305,9 @@ std::optional<std::string> tree_audit(const C& c) {
 
 template <class C>
 class LeafValues : public ::testing::Test {};
-using LeafValueTrees = ::testing::Types<LlxScxBst, LlxScxPatricia,
-                                        LlxScxChromatic,
-                                        ShardedMap<LlxScxChromatic>>;
-TYPED_TEST_SUITE(LeafValues, LeafValueTrees);
+using EveryTree = ::testing::Types<LlxScxBst, LlxScxPatricia, LlxScxChromatic,
+                                   ShardedMap<LlxScxChromatic>>;
+TYPED_TEST_SUITE(LeafValues, EveryTree);
 
 TYPED_TEST(LeafValues, SurviveEveryTreePath) {
   using Node = typename engine_t<TypeParam>::Node;
@@ -415,6 +418,164 @@ TYPED_TEST(LeafValues, SurviveEveryTreePath) {
     }
     EXPECT_EQ(tree_audit(t), std::nullopt);
   }
+  Epoch::drain_all_for_testing();
+}
+
+// --- Routing boundaries: the key-routed step's pick --------------------------
+//
+// Every walk that routes by key picks the child with read_routed
+// (DESIGN.md §11). A key equal to a routing key must go right on the
+// key-order trees, and a key one off a present key must miss it. So
+// every present key k and its neighbours k ± 1 go through get, contains,
+// multi_get's lanes, insert-if-absent (then an erase that restores the
+// tree) and erase, against a std::map oracle. The key set has gaps, plus
+// the edge keys 0, 1, 2^63 − 1, 2^63 and the tree's largest user key.
+
+template <class C>
+constexpr std::uint64_t largest_user_key() {
+  using E = engine_t<C>;
+  if constexpr (requires { E::kInf1; }) {
+    return E::kInf1 - 1;
+  } else {
+    return E::kSentinelKey - 1;
+  }
+}
+
+template <class C>
+class RoutingBoundary : public ::testing::Test {};
+TYPED_TEST_SUITE(RoutingBoundary, EveryTree);
+
+TYPED_TEST(RoutingBoundary, KeysAndNeighboursMatchAnOracle) {
+  constexpr std::uint64_t kTop = largest_user_key<TypeParam>();
+  constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
+  std::set<std::uint64_t> present = {0, 1, kHalf - 1, kHalf, kTop};
+  for (std::uint64_t k = 16; k <= 1024; k += 16) present.insert(k);
+  Xoshiro256 rng(0xB0DA);
+  for (int i = 0; i < 256; ++i) present.insert(rng.next() & ~std::uint64_t{3});
+  std::erase_if(present, [](std::uint64_t k) { return k > kTop; });
+  const auto val = [](std::uint64_t k) { return ~k; };
+
+  TypeParam t;
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  for (const std::uint64_t k : present) {
+    ASSERT_TRUE(t.insert(k, val(k))) << k;
+    oracle.emplace(k, val(k));
+  }
+  std::set<std::uint64_t> probe_set;
+  for (const std::uint64_t k : present) {
+    probe_set.insert(k);
+    if (k > 0) probe_set.insert(k - 1);
+    if (k < kTop) probe_set.insert(k + 1);
+  }
+  const std::vector<std::uint64_t> probes(probe_set.begin(), probe_set.end());
+
+  const auto expect_reads = [&](const char* when) {
+    for (const std::uint64_t k : probes) {
+      const auto it = oracle.find(k);
+      const auto v = tree_get(t, k);
+      ASSERT_EQ(v.has_value(), it != oracle.end()) << when << " get " << k;
+      if (v) {
+        ASSERT_EQ(*v, it->second) << when << " get " << k;
+      }
+      ASSERT_EQ(t.contains(k), it != oracle.end()) << when << " contains " << k;
+    }
+    for (std::size_t base = 0; base < probes.size(); base += 8) {
+      const std::size_t m = std::min<std::size_t>(8, probes.size() - base);
+      bool hit[8];
+      t.multi_get(probes.data() + base, m, hit);
+      for (std::size_t i = 0; i < m; ++i) {
+        ASSERT_EQ(hit[i], oracle.contains(probes[base + i]))
+            << when << " multi_get " << probes[base + i];
+      }
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(expect_reads("built"));
+
+  for (const std::uint64_t k : probes) {
+    const bool absent = !oracle.contains(k);
+    ASSERT_EQ(t.insert(k, 7), absent) << "insert-if-absent " << k;
+    if (absent) {
+      ASSERT_EQ(tree_get(t, k), std::optional<std::uint64_t>{7}) << k;
+      ASSERT_TRUE(t.erase(k)) << "restoring erase " << k;
+    }
+    ASSERT_EQ(tree_get(t, k), absent ? std::nullopt
+                                     : std::optional<std::uint64_t>{val(k)})
+        << "after insert-if-absent " << k;
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_reads("restored"));
+  EXPECT_EQ(tree_audit(t), std::nullopt);
+
+  for (const std::uint64_t k : probes) {
+    ASSERT_EQ(t.erase(k), oracle.erase(k) == 1) << "erase " << k;
+    ASSERT_FALSE(t.contains(k)) << "erased " << k;
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_reads("erased"));
+  EXPECT_TRUE(tree_items(t).empty());
+  EXPECT_EQ(tree_audit(t), std::nullopt);
+  Epoch::drain_all_for_testing();
+}
+
+// --- Failed updates decide at the walk's leaf --------------------------------
+//
+// An insert of a present key and an erase of an absent key answer false
+// from the leaf their walk ends at, as get() does (Proposition 2): they
+// read what get() of the same key reads, and take no LLX, no SCX, no CAS,
+// no allocation and no retire. So does an insert_all run of present keys,
+// and an erase on an empty tree, whose walk ends at a depth-1 sentinel.
+template <class C>
+class FailedUpdates : public ::testing::Test {};
+TYPED_TEST_SUITE(FailedUpdates, EveryTree);
+
+TYPED_TEST(FailedUpdates, DecideAtTheWalksLeafWithNoLlx) {
+  if (!kStepCounting) GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
+  const auto expect_walks_only = [](const TypeParam& tree, const StepCounts& s,
+                                    const std::uint64_t* ks, std::size_t m,
+                                    const char* what) {
+    std::uint64_t walks = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      walks += steps_of([&] { (void)tree_get(tree, ks[i]); }).shared_reads;
+    }
+    const std::uint64_t k = ks[0];
+    EXPECT_EQ(s.shared_reads, walks) << what << " " << k << ": get()'s reads";
+    EXPECT_EQ(s.llx_calls, 0u) << what << " " << k;
+    EXPECT_EQ(s.scx_calls, 0u) << what << " " << k;
+    EXPECT_EQ(s.cas, 0u) << what << " " << k;
+    EXPECT_EQ(s.allocations, 0u) << what << " " << k;
+    EXPECT_EQ(s.retires, 0u) << what << " " << k;
+  };
+  {
+    TypeParam empty;
+    const std::uint64_t k = 5;
+    bool erased = true;
+    expect_walks_only(empty, steps_of([&] { erased = empty.erase(k); }), &k,
+                      1, "erase on an empty tree");
+    EXPECT_FALSE(erased);
+  }
+  TypeParam t;
+  std::vector<std::uint64_t> run;
+  for (std::uint64_t k = 2; k <= 256; k += 2) {
+    ASSERT_TRUE(t.insert(k, k + 1));
+    run.push_back(k);
+  }
+  for (const std::uint64_t k : run) {
+    bool inserted = true;
+    expect_walks_only(t, steps_of([&] { inserted = t.insert(k, 0); }), &k, 1,
+                      "insert of a present key");
+    EXPECT_FALSE(inserted) << k;
+    EXPECT_EQ(tree_get(t, k), std::optional<std::uint64_t>{k + 1}) << k;
+  }
+  for (std::uint64_t k = 1; k <= 257; k += 2) {
+    bool erased = true;
+    expect_walks_only(t, steps_of([&] { erased = t.erase(k); }), &k, 1,
+                      "erase of an absent key");
+    EXPECT_FALSE(erased) << k;
+  }
+  std::size_t inserted = 1;
+  expect_walks_only(
+      t, steps_of([&] { inserted = t.insert_all(run.data(), run.size(), 0); }),
+      run.data(), run.size(), "insert_all of present keys");
+  EXPECT_EQ(inserted, 0u);
+  EXPECT_EQ(tree_items(t).size(), run.size());
   Epoch::drain_all_for_testing();
 }
 
