@@ -107,7 +107,8 @@ class BasicLlxScxChromatic
   using Op = typename Base::Op;
   using Snapshot = typename Base::Snapshot;
 
-  // User keys must be below kInf1; the two values above it are sentinels.
+  // User keys must be below kInf1; kInf1 and kInf2 are the sentinels' (an
+  // update of either aborts, a read answers absent).
   static constexpr std::uint64_t kInf2 = ~std::uint64_t{0};
   static constexpr std::uint64_t kInf1 = kInf2 - 1;
 

@@ -49,6 +49,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -87,6 +88,58 @@ void container_multi_get(const C& c, const std::uint64_t* keys, std::size_t n,
     c.multi_get(keys, n, out);
   } else {
     for (std::size_t i = 0; i < n; ++i) out[i] = c.contains(keys[i]);
+  }
+}
+
+// Lanes (DESIGN.md §14): an engine MAY expose one lookup as a resumable
+// lane, the step its multi_get and the batch loop (service/batch.h) share:
+//   Lane               — the lane's state; its `hit` holds the answer
+//   lane_start(l, key) — get()'s first step
+//   lane_next(l, key)  — one further step; false once l.hit answers
+//                        contains(key)
+// Each step is one of get()'s instrumented shared reads, in get()'s
+// per-key order, plus a __builtin_prefetch of what the next step reads: a
+// lane costs exactly the shared steps of contains(key).
+template <typename E>
+concept HasLanes =
+    requires(const E& e, typename E::Lane& l, std::uint64_t key) {
+      e.lane_start(l, key);
+      { e.lane_next(l, key) } -> std::same_as<bool>;
+    };
+
+inline constexpr std::size_t kLanes = 8;
+
+// out[i] = contains(keys[i]) on engine_of(i), for m ≤ kLanes lanes run
+// interleaved: each live lane takes one step per round-robin turn, so the
+// lanes' cache misses overlap where a scalar walk serializes one per
+// level. Lanes may run on different engines of one type (the batch loop's
+// cross-shard lanes). The caller holds a guard on every engine.
+template <class EngineOf>
+void run_lanes(EngineOf&& engine_of, const std::uint64_t* keys, std::size_t m,
+               bool* out) {
+  using E = std::remove_cvref_t<decltype(engine_of(std::size_t{0}))>;
+  typename E::Lane lane[kLanes];
+  for (std::size_t i = 0; i < m; ++i) {
+    engine_of(i).lane_start(lane[i], keys[i]);
+  }
+  unsigned live = (1u << m) - 1;
+  while (live != 0) {
+    for (std::size_t i = 0; i < m; ++i) {
+      if ((live >> i & 1) != 0 && !engine_of(i).lane_next(lane[i], keys[i])) {
+        out[i] = lane[i].hit;
+        live &= ~(1u << i);
+      }
+    }
+  }
+}
+
+// A lane engine's multi_get: kLanes lanes at a time over one engine.
+template <class E>
+void multi_get_by_lanes(const E& e, const std::uint64_t* keys, std::size_t n,
+                        bool* out) {
+  for (std::size_t base = 0; base < n; base += kLanes) {
+    run_lanes([&e](std::size_t) -> const E& { return e; }, keys + base,
+              std::min(kLanes, n - base), out + base);
   }
 }
 

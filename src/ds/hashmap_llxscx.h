@@ -88,6 +88,7 @@
 #include <utility>
 #include <vector>
 
+#include "ds/container_api.h"
 #include "ds/list_llxscx.h"
 
 namespace llxscx {
@@ -124,6 +125,7 @@ constexpr std::uint64_t fmix64(std::uint64_t k) {
 template <class Reclaim = EbrManager>
 class BasicLlxScxHashMap {
   using L = List<Reclaim>;
+  struct Table;
 
  public:
   using Node = ListNode;
@@ -235,12 +237,10 @@ class BasicLlxScxHashMap {
   }
   bool contains(std::uint64_t key) const { return get(key).has_value(); }
 
-  // Batched membership (DESIGN.md §14): out[i] = contains(keys[i]).
-  //
-  // Up to kLanes lookups run as INTERLEAVED hand-over-hand chain walks:
-  // each lane advances one node per round-robin turn and prefetches its
-  // next frontier node, so the lanes' cache misses overlap instead of
-  // serializing — the same chase a scalar get() pays end to end per key.
+  // Batched membership (DESIGN.md §14): out[i] = contains(keys[i]), as
+  // up to kLanes INTERLEAVED hand-over-hand chain walks (run_lanes), so
+  // the lanes' cache misses overlap instead of serializing — the same
+  // chase a scalar get() pays end to end per key.
   //
   // Shape contract: every shared step is the SAME instrumented next_of a
   // scalar get() issues, in the same per-key sequence (the lane's head
@@ -250,49 +250,41 @@ class BasicLlxScxHashMap {
   // exactly as in get() (a batch is not a snapshot).
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
     Epoch::Guard g;
-    constexpr std::size_t kLanes = 8;
-    enum : unsigned char { kLaneHead, kLaneWalk, kLaneDone };
-    const Table* t0 = table_.load(mo::acquire);
-    for (std::size_t base = 0; base < n; base += kLanes) {
-      const std::size_t m = std::min(kLanes, n - base);
-      const Table* t[kLanes];
-      const Node* cur[kLanes];
-      unsigned char st[kLanes];
-      for (std::size_t l = 0; l < m; ++l) {
-        t[l] = t0;
-        st[l] = kLaneHead;
-        __builtin_prefetch(t0->heads[bucket_of(keys[base + l], t0->mask)]);
+    multi_get_by_lanes(*this, keys, n, out);
+  }
+
+  // get() as a lane (container_api.h). cur is null while the lane routes:
+  // its head step is get()'s chain_of(), retried at the successor table
+  // for a MIGRATED bucket; each later step is one next_of down the chain.
+  // Each step prefetches what the next one reads.
+  struct Lane {
+    const Table* t;
+    const Node* cur;
+    bool hit;
+  };
+  void lane_start(Lane& l, std::uint64_t key) const {
+    l.t = table_.load(mo::acquire);
+    l.cur = nullptr;
+    __builtin_prefetch(l.t->heads[bucket_of(key, l.t->mask)]);
+  }
+  bool lane_next(Lane& l, std::uint64_t key) const {
+    if (l.cur == nullptr) {
+      l.cur = chain_of(l.t, bucket_of(key, l.t->mask));
+      if (l.cur == nullptr) {
+        l.t = l.t->next.load(mo::acquire);
+        __builtin_prefetch(l.t);
+      } else {
+        __builtin_prefetch(l.cur);
       }
-      std::size_t live = m;
-      while (live > 0) {
-        for (std::size_t l = 0; l < m; ++l) {
-          if (st[l] == kLaneDone) continue;
-          const std::uint64_t key = keys[base + l];
-          if (st[l] == kLaneHead) {
-            const Node* c = chain_of(t[l], bucket_of(key, t[l]->mask));
-            if (c == nullptr) {
-              t[l] = t[l]->next.load(mo::acquire);
-              __builtin_prefetch(t[l]);
-              continue;  // retry this lane at the successor table's head
-            }
-            cur[l] = c;
-            __builtin_prefetch(c);
-            st[l] = kLaneWalk;
-            continue;
-          }
-          const Node* c = cur[l];
-          if (c->item() && c->key < key) {
-            const Node* nx = L::next_of(c);
-            __builtin_prefetch(nx);
-            cur[l] = nx;
-          } else {
-            out[base + l] = c->item() && c->key == key;
-            st[l] = kLaneDone;
-            --live;
-          }
-        }
-      }
+      return true;
     }
+    if (l.cur->item() && l.cur->key < key) {
+      l.cur = L::next_of(l.cur);
+      __builtin_prefetch(l.cur);
+      return true;
+    }
+    l.hit = l.cur->item() && l.cur->key == key;
+    return false;
   }
 
   std::size_t size() const {

@@ -95,7 +95,8 @@ class BasicLlxScxPatricia
   using Op = typename Base::Op;
   using Snapshot = typename Base::Snapshot;
 
-  // All-ones is the permanent rightmost sentinel leaf; user keys below it.
+  // All-ones is the permanent rightmost sentinel leaf; user keys below it
+  // (an update of it aborts).
   static constexpr std::uint64_t kSentinelKey = ~std::uint64_t{0};
 
   BasicLlxScxPatricia()
@@ -122,7 +123,8 @@ class BasicLlxScxPatricia
   static bool can_descend(const Node* n, std::uint64_t key) {
     return !n->leaf() && matches_prefix(n, key);
   }
-  static bool is_user_leaf(const Node* n) { return n->key() != kSentinelKey; }
+  // The one sentinel key is the bound: every other key is a user key.
+  static constexpr std::uint64_t key_bound() { return kSentinelKey; }
 
   // Does `key` agree with branch n on every bit above n->bit()?
   static bool matches_prefix(const Node* n, std::uint64_t key) {

@@ -36,7 +36,11 @@
 //                                narrows [lo, hi] to the keys routed into
 //                                n's dir subtree (insert_all's grouping)
 //   static scan_dir(n, dir, lo, hi)  range()'s subtree pruning
-//   static is_user_leaf(n)       sentinel filter for the whole-tree reads
+//   static key_bound()           the sentinel bound: user keys lie below
+//                                it, updates of keys at or above it abort,
+//                                and reads answer "absent" for them
+//   static is_user_leaf(n)       sentinel filter for the reads (a leaf
+//                                whose key is below key_bound())
 //
 // and every Derived supplies the irreducible design work of DESIGN.md §8:
 //
@@ -68,10 +72,13 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "ds/container_api.h"
 #include "llxscx/llx_scx.h"
 #include "llxscx/scx_op.h"
 #include "reclaim/record_manager.h"
@@ -96,11 +103,16 @@ class TreeTemplate {
   using Op = ScxOp<NodeT, Reclaim>;
   using Snapshot = LlxResult<NodeT::kNumMut>;
 
+  // A key at or above the sentinel bound (key_bound()) is never a user
+  // key: the walk may end at a sentinel leaf holding it, so the reads test
+  // that leaf with is_user_leaf, once, after the descent.
   std::optional<std::uint64_t> get(std::uint64_t key) const {
     Epoch::Guard g;
     const Node* n = read_routed(self().root_ptr(), self().root_dir(key));
     while (!Derived::is_leaf(n)) n = read_routed(n, Derived::dir_of(n, key));
-    if (Derived::key_of(n) == key) return Derived::value_of(n);
+    if (Derived::key_of(n) == key && Derived::is_user_leaf(n)) {
+      return Derived::value_of(n);
+    }
     return std::nullopt;
   }
 
@@ -108,47 +120,36 @@ class TreeTemplate {
   // no LLX, no CAS), surfaced for the container contract (DESIGN.md §9).
   bool contains(std::uint64_t key) const { return get(key).has_value(); }
 
-  // Batched membership (DESIGN.md §14): out[i] = contains(keys[i]).
-  //
-  // Up to kLanes descents run interleaved: each lane takes one root-to-
-  // leaf step per round-robin turn and prefetches the child it will visit
-  // next, overlapping the lanes' cache misses (a scalar walk serializes
-  // one miss per level). Every step is the SAME instrumented read_routed a
-  // scalar get() takes, in the same per-key order — plain acquire reads
-  // only (Proposition 2), 0 LLX, 0 CAS, per-key read counts identical to
-  // get(). One epoch guard covers the call; linearization is per key,
-  // exactly as if the gets were issued back to back (a batch is not a
-  // snapshot).
+  // Batched membership (DESIGN.md §14): out[i] = contains(keys[i]), as
+  // up to kLanes interleaved descents (run_lanes). Every step is the SAME
+  // instrumented read_routed a scalar get() takes, in the same per-key
+  // order — plain acquire reads only (Proposition 2), 0 LLX, 0 CAS,
+  // per-key read counts identical to get(). One epoch guard covers the
+  // call; linearization is per key, exactly as if the gets were issued
+  // back to back (a batch is not a snapshot).
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
     Epoch::Guard g;
-    constexpr std::size_t kLanes = 8;
-    for (std::size_t base = 0; base < n; base += kLanes) {
-      const std::size_t m = n - base < kLanes ? n - base : kLanes;
-      const Node* cur[kLanes];  // nullptr ⇒ lane answered
-      for (std::size_t l = 0; l < m; ++l) {
-        const std::uint64_t key = keys[base + l];
-        const Node* c = read_routed(self().root_ptr(), self().root_dir(key));
-        __builtin_prefetch(c);
-        cur[l] = c;
-      }
-      std::size_t live = m;
-      while (live > 0) {
-        for (std::size_t l = 0; l < m; ++l) {
-          const Node* c = cur[l];
-          if (c == nullptr) continue;
-          const std::uint64_t key = keys[base + l];
-          if (Derived::is_leaf(c)) {
-            out[base + l] = Derived::key_of(c) == key;
-            cur[l] = nullptr;
-            --live;
-          } else {
-            const Node* nx = read_routed(c, Derived::dir_of(c, key));
-            __builtin_prefetch(nx);
-            cur[l] = nx;
-          }
-        }
-      }
+    multi_get_by_lanes(self(), keys, n, out);
+  }
+
+  // get() as a lane (container_api.h): each step is one read_routed plus
+  // a prefetch of the node the next step reads.
+  struct Lane {
+    const Node* cur;
+    bool hit;
+  };
+  void lane_start(Lane& l, std::uint64_t key) const {
+    l.cur = read_routed(self().root_ptr(), self().root_dir(key));
+    __builtin_prefetch(l.cur);
+  }
+  bool lane_next(Lane& l, std::uint64_t key) const {
+    if (Derived::is_leaf(l.cur)) {
+      l.hit = Derived::key_of(l.cur) == key && Derived::is_user_leaf(l.cur);
+      return false;
     }
+    l.cur = read_routed(l.cur, Derived::dir_of(l.cur, key));
+    __builtin_prefetch(l.cur);
+    return true;
   }
 
   // Ordered range scan (DESIGN.md §15): appends every user ⟨key, value⟩
@@ -284,6 +285,7 @@ class TreeTemplate {
                          std::uint64_t value) {
     static_assert(2 * Derived::kGroupCap + 1 <= Op::kMaxFresh,
                   "a full group's fresh subtree must fit one ScxOp");
+    for (std::size_t i = 0; i < n; ++i) check_user_key(keys[i]);
     Epoch::Guard g;
     std::size_t inserted = 0;
     std::uint64_t grp[Derived::kGroupCap] = {};
@@ -379,6 +381,7 @@ class TreeTemplate {
 
   // Removes key if present; returns whether it was removed.
   bool erase(std::uint64_t key) {
+    check_user_key(key);
     Epoch::Guard g;
     for (;;) {
       // Walk to the leaf tracking grandparent and parent.
@@ -489,7 +492,10 @@ class TreeTemplate {
   static bool can_descend(const Node* n, std::uint64_t /*key*/) {
     return !n->leaf();
   }
-  static bool is_user_leaf(const Node* n) { return n->key < Derived::kInf1; }
+  static constexpr std::uint64_t key_bound() { return Derived::kInf1; }
+  static bool is_user_leaf(const Node* n) {
+    return Derived::key_of(n) < Derived::key_bound();
+  }
   // range() pruning: may the dir subtree of interior n intersect [lo, hi]?
   static bool scan_dir(const Node* n, std::size_t dir, std::uint64_t lo,
                        std::uint64_t hi) {
@@ -531,6 +537,21 @@ class TreeTemplate {
     }
     w.push_back(LinkedLlx{const_cast<Node*>(n), info});
     return true;
+  }
+
+  // An update of a sentinel's key would unlink or shadow a sentinel leaf,
+  // which every update's walk relies on (a depth-1 leaf is a sentinel), so
+  // it is refused loudly instead, as ScxOp misuse is.
+  static void check_user_key(std::uint64_t key) {
+    if (key >= Derived::key_bound()) [[unlikely]] reject_key(key);
+  }
+  [[gnu::cold, gnu::noinline]] static void reject_key(std::uint64_t key) {
+    std::fprintf(stderr,
+                 "llxscx: %s: key %llu is at or above the sentinel bound "
+                 "%llu; user keys must lie below it\n",
+                 Derived::kName, static_cast<unsigned long long>(key),
+                 static_cast<unsigned long long>(Derived::key_bound()));
+    std::abort();
   }
 
   // Quiescent teardown for the Derived destructor (retired-but-undrained

@@ -78,6 +78,10 @@ class alignas(64) ScxRecord {
   static constexpr std::uint64_t seq_of(std::uint64_t info) {
     return info >> kSlotBits;
   }
+  static constexpr std::size_t slot_of(std::uint64_t info) {
+    constexpr std::uint64_t kMask = (std::uint64_t{1} << kSlotBits) - 1;
+    return static_cast<std::size_t>(info & kMask);
+  }
   static ScxRecord& of(std::uint64_t info);  // the slot a nonzero word names
 
   // State words: seq << 3 | allFrozen | State, for the seq the slot serves.
@@ -115,7 +119,7 @@ class alignas(64) ScxRecord {
 inline constinit ScxRecord detail_scx_slots[ScxRecord::kMaxSlots];
 
 inline ScxRecord& ScxRecord::of(std::uint64_t info) {
-  return detail_scx_slots[info & ((std::uint64_t{1} << kSlotBits) - 1)];
+  return detail_scx_slots[slot_of(info)];
 }
 
 inline std::size_t ScxRecord::claim() {
@@ -253,18 +257,44 @@ class LlxResult {
   LinkedLlx link_ = {};
 };
 
-// The state of the operation an info word names, as LLX and the range
-// witness read it. The word 0 names none: the record is unfrozen, which
-// reads as kAborted. A seq that has moved on reads as kCommitted: the
-// operation is decided, and for a record whose info still names it the
-// two outcomes differ only if the record is marked — and marks are written
-// only after allFrozen, so a marked record's operation committed.
+// The state of the operation an info word names, as the range witness
+// reads it (LLX reads it through detail_llx_state_of, below). The word 0
+// names none: the record is unfrozen, which reads as kAborted. A seq that
+// has moved on reads as kCommitted: the operation is decided, and for a
+// record whose info still names it the two outcomes differ only if the
+// record is marked — and marks are written only after allFrozen, so a
+// marked record's operation committed.
 inline ScxRecord::State detail_state_of(std::uint64_t info) {
   if (info == 0) return ScxRecord::kAborted;
   // acquire: a decided read makes the operation's R-set marks and update
   // visible — through its Committed store, or, once the seq has moved on,
   // through the owner's release seq bump in scx().
   const std::uint64_t w = ScxRecord::of(info).word_.load(mo::acquire);
+  if (w >> 3 != ScxRecord::seq_of(info)) return ScxRecord::kCommitted;
+  return static_cast<ScxRecord::State>(w & 3);
+}
+
+// LLX's state read: detail_state_of through this thread's horizon for the
+// word's slot, the largest seq it has acquire-read from that slot's state
+// word (DESIGN.md §5). A slot's seq only grows: its owner moves it, and a
+// thread that claims the slot next continues it (claim()). So once this
+// thread has read seq h there, every operation of the slot with a lower
+// seq is decided, and its marks and update happen before that read: the
+// owner's release seq bump toward h came after them, the same edge as
+// detail_state_of's "moved on" case. A word below the horizon therefore
+// reads as kCommitted without loading the other thread's slot line. At or
+// above it the word is read as in detail_state_of, and the horizon takes
+// the seq read (coherence: a later load of one atomic never returns an
+// earlier seq, so it only rises).
+inline ScxRecord::State detail_llx_state_of(std::uint64_t info) {
+  thread_local std::uint64_t horizon[ScxRecord::kMaxSlots];
+  if (info == 0) return ScxRecord::kAborted;
+  std::uint64_t& h = horizon[ScxRecord::slot_of(info)];
+  if (ScxRecord::seq_of(info) < h) return ScxRecord::kCommitted;
+  // acquire: as in detail_state_of; it is also what the horizon's later
+  // answers rest on.
+  const std::uint64_t w = ScxRecord::of(info).word_.load(mo::acquire);
+  h = w >> 3;
   if (w >> 3 != ScxRecord::seq_of(info)) return ScxRecord::kCommitted;
   return static_cast<ScxRecord::State>(w & 3);
 }
@@ -431,7 +461,9 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
   // seq bump for that operation is visible to the state read below; it
   // also opens the snapshot window (the field reads cannot move before it).
   const std::uint64_t rinfo = r->info_.load(mo::acquire);
-  const ScxRecord::State state = detail_state_of(rinfo);
+  // One shared step, as Fig. 2's state read, whether the slot's state word
+  // or this thread's horizon answers it (detail_llx_state_of).
+  const ScxRecord::State state = detail_llx_state_of(rinfo);
   // Paper Fig. 2 reads the mark a SECOND time, after the state read, and
   // gates the snapshot on it. The re-read is load-bearing: Help() writes
   // the R-set marks after allFrozen but before state:=Committed, so a
@@ -485,7 +517,7 @@ LlxResult<NumMut> llx(const DataRecord<NumMut>* r) {
   // the current freezer's seq bump before running Help on it.
   const std::uint64_t cur = r->info_.load(mo::acquire);
   Stats::count_read(2);
-  if (detail_state_of(cur) == ScxRecord::kInProgress) {
+  if (detail_llx_state_of(cur) == ScxRecord::kInProgress) {
     Stats::helped();
     detail_help(cur);
   }

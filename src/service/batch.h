@@ -4,23 +4,26 @@
 // A BatchOp is one request (get / insert / erase on a key); a batch is a
 // caller-owned array of them, answered positionally by an equal-length
 // BatchResult array. The semantics are PER-KEY PROGRAM ORDER: ops on the
-// same key take effect in their batch positions (both implementations
-// below run a batch in order), while ops on different keys may interleave
-// with concurrent threads exactly as individually issued ops would. A
-// batch is NOT a transaction: no atomicity across entries is implied.
+// same key take effect in their batch positions (every batch runs its ops
+// in order), while ops on different keys may interleave with concurrent
+// threads exactly as individually issued ops would. A batch is NOT a
+// transaction: no atomicity across entries is implied.
 //
 // container_apply_batch is the one entry point: containers that implement
-// apply_batch get member dispatch (ShardedMap runs each op through its
-// scalar verb, under that op's shard scope and guard, in batch order);
-// every bare engine gets the generic driver below, which holds one epoch
-// guard across the whole batch (inner per-op guards nest at depth > 0,
-// i.e. no reservation store and no fence) and forwards consecutive
-// get-runs through container_multi_get so engines with interleaved
-// prefetching traversals overlap their cache misses.
+// apply_batch get member dispatch (ShardedMap), every bare engine gets the
+// generic driver below. Both run the one batch loop, apply_chunk: chunks
+// of at most kLanes ops, each walked first as interleaved lanes over every
+// op (gets and updates alike; engines without lanes skip the walk), then
+// answered through the scalar verbs in batch order. The generic driver
+// holds one epoch guard across the whole batch, ShardedMap one per shard a
+// chunk touches; the per-op guards the verbs take inside nest at depth > 0
+// (no reservation store, no fence).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "ds/container_api.h"
 #include "reclaim/epoch.h"
@@ -57,6 +60,40 @@ concept HasApplyBatch = requires(C& c, const BatchOp* ops, std::size_t n,
   { c.apply_batch(ops, n, out) };
 };
 
+// The scalar verb op names, run on c: the answer at op's position.
+template <class C>
+bool apply_op(C& c, const BatchOp& op) {
+  switch (op.kind) {
+    case BatchOpKind::kGet:
+      return c.contains(op.key);
+    case BatchOpKind::kInsert:
+      return c.insert(op.key, op.value);
+    case BatchOpKind::kErase:
+      return c.erase(op.key);
+  }
+  return false;
+}
+
+// One chunk of the batch loop: m ≤ kLanes ops, op i on engine_of(i),
+// under guards the caller holds on every engine the chunk touches. First
+// every op's search path is walked as an interleaved lane (run_lanes) and
+// its answer discarded: the walk only overlaps the paths' cache misses.
+// Then run(i) answers op i through its scalar verb, in batch order, so
+// per-key program order is batch order and every update keeps its SCX
+// shape; the lanes add only the reads of a contains per op.
+template <class EngineOf, class Run>
+void apply_chunk(const BatchOp* ops, std::size_t m, BatchResult* out,
+                 EngineOf&& engine_of, Run&& run) {
+  using E = std::remove_cvref_t<decltype(engine_of(std::size_t{0}))>;
+  if constexpr (HasLanes<E>) {
+    std::uint64_t keys[kLanes] = {};
+    bool hits[kLanes];
+    for (std::size_t i = 0; i < m; ++i) keys[i] = ops[i].key;
+    run_lanes(engine_of, keys, m, hits);
+  }
+  for (std::size_t i = 0; i < m; ++i) out[i].ok = run(i);
+}
+
 template <typename C>
   requires LlxScxContainer<C>
 void container_apply_batch(C& c, const BatchOp* ops, std::size_t n,
@@ -64,30 +101,13 @@ void container_apply_batch(C& c, const BatchOp* ops, std::size_t n,
   if constexpr (HasApplyBatch<C>) {
     c.apply_batch(ops, n, out);
   } else {
-    // One reservation + fence for the whole batch; the per-op guards the
-    // engine takes inside nest for free (depth bump only).
+    // One reservation + fence for the whole batch.
     Epoch::Guard g;
-    constexpr std::size_t kRun = 64;  // get-run chunk; stack buffers
-    std::uint64_t keys[kRun];
-    bool hits[kRun];
-    std::size_t i = 0;
-    while (i < n) {
-      if (ops[i].kind == BatchOpKind::kGet) {
-        std::size_t r = 0;
-        while (i + r < n && r < kRun && ops[i + r].kind == BatchOpKind::kGet) {
-          keys[r] = ops[i + r].key;
-          ++r;
-        }
-        container_multi_get(c, keys, r, hits);
-        for (std::size_t j = 0; j < r; ++j) out[i + j].ok = hits[j];
-        i += r;
-      } else if (ops[i].kind == BatchOpKind::kInsert) {
-        out[i].ok = c.insert(ops[i].key, ops[i].value);
-        ++i;
-      } else {
-        out[i].ok = c.erase(ops[i].key);
-        ++i;
-      }
+    for (std::size_t base = 0; base < n; base += kLanes) {
+      const BatchOp* chunk = ops + base;
+      apply_chunk(chunk, std::min(kLanes, n - base), out + base,
+                  [&c](std::size_t) -> const C& { return c; },
+                  [&](std::size_t i) { return apply_op(c, chunk[i]); });
     }
   }
 }

@@ -40,10 +40,12 @@
 // splitter, and shape tests pin that it equals the bare engine's cost.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -168,9 +170,9 @@ class ShardedMap {
   // traversals where implemented) overlaps the group's cache misses.
   //
   // apply_batch does not group. A serving batch is a few ops spread over
-  // every shard (8 over 4 in the serving benchmark), so its groups hold
-  // about two ops each, and the sort, gather and scatter cost more than
-  // the shared guards saved (DESIGN.md §14).
+  // every shard (8 over 4 in the serving benchmark), so its groups would
+  // hold about two ops each; it runs batch.h's chunk loop across shards
+  // instead, with no sort, gather or scatter (DESIGN.md §14).
 
   // out[i] = contains(keys[i]). Duplicate keys welcome; n == 0 is a no-op.
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
@@ -198,23 +200,27 @@ class ShardedMap {
     for (std::size_t j = 0; j < n; ++j) out[sc.order[j]] = hits[j];
   }
 
-  // Mixed-op batch, answered positionally (see batch.h): each op runs
-  // through the scalar verb, under its own shard's scope and guard, in
-  // batch order, so per-key program order is simply batch order.
+  // Mixed-op batch, answered positionally by batch.h's chunk loop: one
+  // shard_for hash per op, one DomainScope + Guard per shard a chunk
+  // touches, each op's lane on its own shard's engine, then each op's
+  // scalar verb under its shard's scope, in batch order.
   void apply_batch(const BatchOp* ops, std::size_t n, BatchResult* out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const BatchOp& op = ops[i];
-      switch (op.kind) {
-        case BatchOpKind::kGet:
-          out[i].ok = contains(op.key);
-          break;
-        case BatchOpKind::kInsert:
-          out[i].ok = insert(op.key, op.value);
-          break;
-        case BatchOpKind::kErase:
-          out[i].ok = erase(op.key);
-          break;
+    for (std::size_t base = 0; base < n; base += kLanes) {
+      const BatchOp* chunk = ops + base;
+      const std::size_t m = std::min(kLanes, n - base);
+      Shard* sh[kLanes];
+      ChunkGuards guards;
+      for (std::size_t i = 0; i < m; ++i) {
+        sh[i] = shards_[shard_for(chunk[i].key)].get();
+        if (std::find(sh, sh + i, sh[i]) == sh + i) guards.enter(sh[i]->domain);
       }
+      apply_chunk(
+          chunk, m, out + base,
+          [&sh](std::size_t i) -> const Engine& { return *sh[i]->engine; },
+          [&](std::size_t i) {
+            Epoch::DomainScope scope(sh[i]->domain);
+            return apply_op(*sh[i]->engine, chunk[i]);
+          });
     }
   }
 
@@ -355,6 +361,31 @@ class ShardedMap {
   struct alignas(64) Shard {
     Epoch::Domain domain;
     std::optional<Engine> engine;  // constructed under the domain's scope
+  };
+
+  // A batch chunk's guards, one per shard it touches, each entered under
+  // its shard's scope. Guards cannot move, so they are built in place.
+  class ChunkGuards {
+   public:
+    ChunkGuards() {}
+    ~ChunkGuards() {
+      for (std::size_t i = 0; i < n_; ++i) slot_[i].g.~Guard();
+    }
+    ChunkGuards(const ChunkGuards&) = delete;
+    ChunkGuards& operator=(const ChunkGuards&) = delete;
+    void enter(const Epoch::Domain& d) {
+      Epoch::DomainScope scope(d);
+      new (&slot_[n_++].g) Epoch::Guard;
+    }
+
+   private:
+    union Slot {
+      Slot() {}
+      ~Slot() {}
+      Epoch::Guard g;
+    };
+    Slot slot_[kLanes];
+    std::size_t n_ = 0;
   };
 
   Shard& shard_ref(std::uint64_t key) { return *shards_[shard_for(key)]; }

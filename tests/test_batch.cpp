@@ -313,6 +313,147 @@ TEST(MultiGetShape, SameStepsAsScalarGets) {
   }
 }
 
+// The batch loop's lanes add reads and nothing else: a mixed batch costs
+// exactly what its ops cost through the scalar verbs, in order, on an
+// identical map, plus, per chunk of kLanes ops, the reads of a multi_get
+// over the chunk's keys on the map as the chunk found it. The sharded
+// hash map is checked quiescent and frozen mid-migration (one shard's
+// growth in flight, so lanes route through kMoved/kDone), and the sharded
+// chromatic tree quiescent.
+TEST(BatchShape, LanesAddOnlyReads) {
+  if constexpr (!kStepCounting) {
+    GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
+  } else {
+    const auto check = [](auto& batched, auto& scalar,
+                          const std::vector<BatchOp>& ops, const char* name) {
+      std::vector<BatchResult> got(ops.size());
+      const StepCounts b = steps_of([&] {
+        container_apply_batch(batched, ops.data(), ops.size(), got.data());
+      });
+      StepCounts s, lanes;
+      for (std::size_t base = 0; base < ops.size(); base += kLanes) {
+        const std::size_t m = std::min(kLanes, ops.size() - base);
+        std::uint64_t keys[kLanes];
+        bool hits[kLanes];
+        for (std::size_t i = 0; i < m; ++i) keys[i] = ops[base + i].key;
+        lanes += steps_of([&] { scalar.multi_get(keys, m, hits); });
+        for (std::size_t i = base; i < base + m; ++i) {
+          s += steps_of([&] {
+            EXPECT_EQ(got[i].ok, apply_op(scalar, ops[i])) << name << " op " << i;
+          });
+        }
+      }
+      EXPECT_EQ(b.llx_calls, s.llx_calls) << name;
+      EXPECT_EQ(b.scx_calls, s.scx_calls) << name;
+      EXPECT_EQ(b.cas, s.cas) << name;
+      EXPECT_EQ(b.shared_writes, s.shared_writes) << name;
+      EXPECT_EQ(b.allocations, s.allocations) << name;
+      EXPECT_EQ(b.retires, s.retires) << name;
+      EXPECT_GT(lanes.shared_reads, 0u) << name;
+      EXPECT_EQ(b.shared_reads, s.shared_reads + lanes.shared_reads) << name;
+    };
+    // Three chunks of present and absent keys, with duplicates.
+    const auto mixed = [](std::uint64_t lo, std::uint64_t span) {
+      std::vector<BatchOp> ops;
+      Xoshiro256 rng(0x5A4E);
+      for (std::size_t i = 0; i < 3 * kLanes; ++i) {
+        const std::uint64_t key = lo + rng.below(span);
+        const unsigned dice = static_cast<unsigned>(rng.below(4));
+        ops.push_back(dice < 2    ? BatchOp::get(key)
+                      : dice == 2 ? BatchOp::insert(key, i)
+                                  : BatchOp::erase(key));
+      }
+      return ops;
+    };
+    {
+      ShardedMap<LlxScxHashMap> a, b;
+      for (std::uint64_t k = 1; k <= 512; k += 2) {
+        a.insert(k, k);
+        b.insert(k, k);
+      }
+      check(a, b, mixed(1, 600), "sharded hashmap");
+    }
+    {
+      // The first insert that runs more than one SCX started one shard's
+      // growth and migrated a stride; nothing else helps until the batch.
+      ShardedMap<LlxScxHashMap> a, b;
+      std::uint64_t last = 0;
+      for (bool grew = false; !grew;) {
+        ++last;
+        a.insert(last, last);
+        grew = steps_of([&] { b.insert(last, last); }).scx_calls > 1;
+      }
+      // Keys of the growing shard's migrated buckets (the first stride of
+      // its 1024) go through the lanes' routing to the next table.
+      std::vector<BatchOp> ops;
+      const std::size_t shard = b.shard_for(last);
+      for (std::uint64_t k = 1; ops.size() < 3 * kLanes; ++k) {
+        if (b.shard_for(k) != shard || (fmix64(k) & 1023) >= 8) continue;
+        ops.push_back(ops.size() % 3 == 0   ? BatchOp::erase(k)
+                      : ops.size() % 3 == 1 ? BatchOp::get(k)
+                                            : BatchOp::insert(k, 7));
+      }
+      check(a, b, ops, "sharded hashmap mid-migration");
+    }
+    {
+      ShardedMap<LlxScxChromatic> a, b;
+      for (std::uint64_t k = 1; k <= 512; k += 2) {
+        a.insert(k, k);
+        b.insert(k, k);
+      }
+      check(a, b, mixed(1, 600), "sharded chromatic");
+    }
+  }
+}
+
+// Mixed batches on a sharded hash map answer exactly while another thread
+// grows every shard through disjoint keys: the cross-shard lanes and the
+// scalar verbs both route through live migrations. The batches' keys are
+// this thread's alone, so each answer is known.
+TEST(ShardedBatch, SurvivesConcurrentResize) {
+  constexpr std::uint64_t kStable = 64;  // odd keys present, even absent
+  constexpr std::uint64_t kOwn = 1000;   // inserted, read, erased per round
+  ShardedMap<LlxScxHashMap> m;
+  for (std::uint64_t k = 1; k <= kStable; k += 2) m.insert(k, k);
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t k = 100'000; k < 140'000; ++k) m.insert(k, k);
+    done.store(true);
+  });
+  std::uint64_t rounds = 0;
+  std::vector<BatchOp> ops;
+  std::vector<bool> want;
+  while (!done.load(std::memory_order_relaxed)) {
+    ops.clear();
+    want.clear();
+    for (std::uint64_t j = 0; j < 4; ++j) {
+      const std::uint64_t s = 1 + (rounds * 4 + j) % kStable;
+      const std::uint64_t own = kOwn + j;
+      ops.push_back(BatchOp::get(s));
+      want.push_back(s % 2 == 1);
+      ops.push_back(BatchOp::insert(own, rounds));
+      want.push_back(true);
+      ops.push_back(BatchOp::get(own));
+      want.push_back(true);
+      ops.push_back(BatchOp::erase(own));
+      want.push_back(true);
+      ops.push_back(BatchOp::get(own));
+      want.push_back(false);
+    }
+    std::vector<BatchResult> got(ops.size());
+    container_apply_batch(m, ops.data(), ops.size(), got.data());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      ASSERT_EQ(got[i].ok, want[i]) << "op " << i << " on key " << ops[i].key
+                                    << " in round " << rounds;
+    }
+    ++rounds;
+  }
+  writer.join();
+  EXPECT_GT(rounds, 0u);
+  EXPECT_EQ(m.size(), kStable / 2 + 40'000);
+  EXPECT_EQ(drained_outstanding(m), 0u);
+}
+
 // --- EbrManager size classes and the bank cap ------------------------------
 
 // The classes are glibc malloc's chunk sizes: a request of n bytes gets a

@@ -380,5 +380,101 @@ TYPED_TEST(ContainerConformance, RangeStableUnderDisjointChurn) {
   }
 }
 
+// --- Sentinel keys ------------------------------------------------------------
+//
+// Keys at or above a tree's sentinel bound belong to its sentinel leaves:
+// an update of one aborts, naming the key and the bound, and a read answers
+// absent. Range bounds stay unrestricted.
+using Trees = ::testing::Types<LlxScxBst, LlxScxPatricia, LlxScxChromatic>;
+
+// kInf1 and kInf2 (the bound is kInf1), or Patricia's one all-ones key.
+template <class T>
+std::vector<std::uint64_t> sentinel_keys() {
+  if constexpr (requires { T::kInf1; }) {
+    return {T::kInf1, T::kInf2};
+  } else {
+    return {T::kSentinelKey};
+  }
+}
+
+template <class T>
+std::string rejection(std::uint64_t key) {
+  return "key " + std::to_string(key) + " is at or above the sentinel bound " +
+         std::to_string(sentinel_keys<T>()[0]);
+}
+
+template <class T>
+class TreeSentinels : public ::testing::Test {};
+TYPED_TEST_SUITE(TreeSentinels, Trees);
+
+TYPED_TEST(TreeSentinels, ReadsAnswerAbsent) {
+  {
+    TypeParam t;
+    ASSERT_TRUE(t.insert(5, 1));
+    for (std::uint64_t k : sentinel_keys<TypeParam>()) {
+      EXPECT_FALSE(t.contains(k)) << k;
+      EXPECT_FALSE(t.get(k).has_value()) << k;
+      bool hit = true;
+      t.multi_get(&k, 1, &hit);
+      EXPECT_FALSE(hit) << k;
+    }
+    RangeOut out;
+    EXPECT_EQ(t.range(0, ~std::uint64_t{0}, out), 1u);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].first, 5u);
+  }
+  Epoch::drain_all_for_testing();
+}
+
+template <class T>
+class TreeSentinelDeathTest : public ::testing::Test {};
+TYPED_TEST_SUITE(TreeSentinelDeathTest, Trees);
+
+TYPED_TEST(TreeSentinelDeathTest, InsertAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (std::uint64_t k : sentinel_keys<TypeParam>()) {
+    TypeParam t;
+    EXPECT_DEATH(t.insert(k, 1), rejection<TypeParam>(k));
+  }
+}
+
+TYPED_TEST(TreeSentinelDeathTest, InsertAllAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (std::uint64_t k : sentinel_keys<TypeParam>()) {
+    TypeParam t;
+    const std::uint64_t run[] = {3, 4, k};
+    EXPECT_DEATH(t.insert_all(run, 3, 1), rejection<TypeParam>(k));
+    EXPECT_FALSE(t.contains(3)) << "a rejected run inserts nothing";
+  }
+}
+
+TYPED_TEST(TreeSentinelDeathTest, EraseAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (std::uint64_t k : sentinel_keys<TypeParam>()) {
+    TypeParam t;
+    EXPECT_DEATH(t.erase(k), rejection<TypeParam>(k));
+  }
+}
+
+// The sequence that broke a tree when sentinel keys were accepted: on
+// {5}, erase(kInf1) returned true and unlinked the sentinel leaf; after
+// insert(7) and erase(5), erase(7) returned false while contains(7) was
+// true. Now the first erase aborts and the tree stays whole.
+TYPED_TEST(TreeSentinelDeathTest, SentinelEraseLeavesTheTreeWhole) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  {
+    TypeParam t;
+    ASSERT_TRUE(t.insert(5, 1));
+    const std::uint64_t k = sentinel_keys<TypeParam>()[0];
+    EXPECT_DEATH(t.erase(k), rejection<TypeParam>(k));
+    ASSERT_TRUE(t.insert(7, 1));
+    ASSERT_TRUE(t.erase(5));
+    EXPECT_TRUE(t.erase(7));
+    EXPECT_FALSE(t.contains(7));
+    EXPECT_EQ(t.size(), 0u);
+  }
+  Epoch::drain_all_for_testing();
+}
+
 }  // namespace
 }  // namespace llxscx

@@ -255,6 +255,105 @@ TEST(LlxScx, StaleHelperCannotWriteTheSlotsNextOperation) {
       next_seq, ScxRecord::kAllFrozen | ScxRecord::kCommitted));
 }
 
+// --- LLX's horizon (DESIGN.md §5) --------------------------------------------
+//
+// Each thread remembers, per descriptor slot, the largest seq it has read
+// from the slot's state word. An info word below that horizon names a
+// decided SCX, so LLX answers from the horizon without the slot's line.
+// These pin that the answers stay Fig. 2's, setting slot words directly
+// where a race would otherwise be needed.
+
+// The horizon passed operation s: a record s finalized still reads
+// FINALIZED, and an unmarked V-record of s still snapshots.
+TEST(LlxHorizon, PassedOperationStillFinalizesAndSnapshots) {
+  Epoch::Guard g;
+  auto* fin = EbrManager::alloc<Rec>(1, 2);
+  Rec keep(3, 4), later(5, 6);
+  auto lk = llx(&keep);
+  auto lf = llx(fin);
+  ASSERT_TRUE(lk.ok());
+  ASSERT_TRUE(lf.ok());
+  const LinkedLlx v[2] = {lk.link(), lf.link()};
+  ASSERT_TRUE(scx(v, 2, /*finalize fin=*/0b10, &keep.mut(0), 3, 30));
+  const std::uint64_t s = keep.info_.load();
+  auto ll = llx(&later);
+  ASSERT_TRUE(ll.ok());
+  const LinkedLlx w[1] = {ll.link()};
+  ASSERT_TRUE(scx(w, 1, 0, &later.mut(0), 5, 50));  // operation s + 1
+  ASSERT_EQ(ScxRecord::seq_of(later.info_.load()), ScxRecord::seq_of(s) + 1);
+  ASSERT_TRUE(llx(&later).ok());  // reads the slot at s + 1: the horizon
+
+  EXPECT_TRUE(llx(fin).is_finalized());
+  auto k2 = llx(&keep);
+  ASSERT_TRUE(k2.ok());
+  EXPECT_EQ(k2.field(0), 30u);
+  EXPECT_EQ(k2.field(1), 4u);
+  EXPECT_EQ(k2.link().info, s);
+  EbrManager::retire(fin);
+}
+
+// An info word naming the seq the horizon holds is read from the slot: with
+// that operation in progress (its state word set back, as a creator between
+// its freezes and its commit leaves it), LLX helps it and reads FAIL.
+TEST(LlxHorizon, OperationAtTheHorizonIsStillHelped) {
+  Epoch::Guard g;
+  Rec r(1, 0);
+  auto l = llx(&r);
+  ASSERT_TRUE(l.ok());
+  const LinkedLlx v[1] = {l.link()};
+  ASSERT_TRUE(scx(v, 1, 0, &r.mut(0), 1, 2));
+  const std::uint64_t s = r.info_.load();
+  ASSERT_TRUE(llx(&r).ok());  // reads the slot at s: the horizon holds s
+  ScxRecord& u = ScxRecord::of(s);
+  const std::uint64_t seq = ScxRecord::seq_of(s);
+  u.word_.store(ScxRecord::state_word(seq, ScxRecord::kInProgress));
+  const StepCounts before = Stats::my_snapshot();
+  EXPECT_TRUE(llx(&r).failed());
+  if (kStepCounting) {
+    EXPECT_EQ((Stats::my_snapshot() - before).helps, 1u);
+  }
+  EXPECT_EQ(u.word_.load(),
+            ScxRecord::state_word(
+                seq, ScxRecord::kAllFrozen | ScxRecord::kCommitted))
+      << "the help must commit s";
+  EXPECT_EQ(r.mut(0).load(), 2u);
+  EXPECT_TRUE(llx(&r).ok());
+}
+
+// A slot's next owner continues the seqs of the one before, so a horizon
+// this thread learned from the old owner lies below every operation of the
+// new one: the new owner's operation in progress is helped, not passed.
+TEST(LlxHorizon, NewOwnersOperationIsNeverBelowTheHorizon) {
+  Rec a(0, 0), b(0, 0);
+  const auto commit_on_new_thread = [](Rec& r) {
+    std::thread th([&r] {
+      Epoch::Guard g;
+      auto l = llx(&r);
+      ASSERT_TRUE(l.ok());
+      const LinkedLlx v[1] = {l.link()};
+      ASSERT_TRUE(scx(v, 1, 0, &r.mut(0), 0, 1));
+    });
+    th.join();  // the thread's exit returns its slot
+  };
+  commit_on_new_thread(a);
+  const std::uint64_t old_op = a.info_.load();
+  Epoch::Guard g;
+  ASSERT_TRUE(llx(&a).ok());  // the horizon for the slot: the old owner's seq
+  commit_on_new_thread(b);
+  const std::uint64_t new_op = b.info_.load();
+  ASSERT_EQ(ScxRecord::slot_of(new_op), ScxRecord::slot_of(old_op))
+      << "the second thread must reuse the first one's slot";
+  EXPECT_EQ(ScxRecord::seq_of(new_op), ScxRecord::seq_of(old_op) + 1);
+  ScxRecord& u = ScxRecord::of(new_op);
+  const std::uint64_t seq = ScxRecord::seq_of(new_op);
+  u.word_.store(ScxRecord::state_word(seq, ScxRecord::kInProgress));
+  EXPECT_TRUE(llx(&b).failed());
+  EXPECT_EQ(u.word_.load(),
+            ScxRecord::state_word(
+                seq, ScxRecord::kAllFrozen | ScxRecord::kCommitted));
+  EXPECT_EQ(b.mut(0).load(), 1u);
+}
+
 TEST(LlxScxDeathTest, ExhaustingTheSlotTableAbortsNamingTheCap) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
