@@ -125,8 +125,8 @@ class TreeTemplate {
   // instrumented read_routed a scalar get() takes, in the same per-key
   // order — plain acquire reads only (Proposition 2), 0 LLX, 0 CAS,
   // per-key read counts identical to get(). One epoch guard covers the
-  // call; linearization is per key, exactly as if the gets were issued
-  // back to back (a batch is not a snapshot).
+  // call; linearization is per key, exactly as if the gets ran back to
+  // back (a batch is not a snapshot).
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
     Epoch::Guard g;
     multi_get_by_lanes(self(), keys, n, out);

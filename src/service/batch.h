@@ -6,15 +6,15 @@
 // BatchResult array. The semantics are PER-KEY PROGRAM ORDER: ops on the
 // same key take effect in their batch positions (every batch runs its ops
 // in order), while ops on different keys may interleave with concurrent
-// threads exactly as individually issued ops would. A batch is NOT a
-// transaction: no atomicity across entries is implied.
+// threads exactly as the same ops called one at a time would. A batch is
+// NOT a transaction: no atomicity across entries is implied.
 //
 // container_apply_batch is the one entry point: containers that implement
 // apply_batch get member dispatch (ShardedMap), every bare engine gets the
-// generic driver below. Both run the one batch loop, apply_chunk: chunks
+// generic path below. Both run the one batch loop, apply_chunk: chunks
 // of at most kLanes ops, each walked first as interleaved lanes over every
 // op (gets and updates alike; engines without lanes skip the walk), then
-// answered through the scalar verbs in batch order. The generic driver
+// answered through the scalar verbs in batch order. The generic path
 // holds one epoch guard across the whole batch, ShardedMap one per shard a
 // chunk touches; the per-op guards the verbs take inside nest at depth > 0
 // (no reservation store, no fence).

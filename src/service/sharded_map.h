@@ -365,6 +365,9 @@ class ShardedMap {
 
   // A batch chunk's guards, one per shard it touches, each entered under
   // its shard's scope. Guards cannot move, so they are built in place.
+  // An array of std::optional<Epoch::Guard> would do the same, but in the
+  // serving benchmark GCC left the optional's destroy out of line, a call
+  // on every guard exit where DESIGN.md §2 keeps the guard inline.
   class ChunkGuards {
    public:
     ChunkGuards() {}

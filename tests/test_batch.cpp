@@ -9,7 +9,10 @@
 //     order (batch.h's contract), including duplicate keys, empty
 //     batches, and n == 1;
 //   - the hashmap's interleaved lanes survive a live bucket migration
-//     (the kMoved/kDone routing is per lane);
+//     (the kMoved/kDone routing is per lane), and so do sharded batches
+//     while every shard grows;
+//   - the batch loop's lanes add a multi_get's reads to the scalar
+//     verbs' steps, and no other step;
 //   - EbrManager's free lists are size-classed by malloc chunk size:
 //     reuse is by address equality WITHIN a class and never across
 //     classes, and a thread banks at most kBankCap blocks per class.
@@ -318,8 +321,8 @@ TEST(MultiGetShape, SameStepsAsScalarGets) {
 // identical map, plus, per chunk of kLanes ops, the reads of a multi_get
 // over the chunk's keys on the map as the chunk found it. The sharded
 // hash map is checked quiescent and frozen mid-migration (one shard's
-// growth in flight, so lanes route through kMoved/kDone), and the sharded
-// chromatic tree quiescent.
+// growth in flight, so lanes route through kMoved/kDone), the sharded
+// chromatic tree and both bare engines quiescent.
 TEST(BatchShape, LanesAddOnlyReads) {
   if constexpr (!kStepCounting) {
     GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
@@ -365,14 +368,22 @@ TEST(BatchShape, LanesAddOnlyReads) {
       }
       return ops;
     };
-    {
-      ShardedMap<LlxScxHashMap> a, b;
+    // Two identical maps holding the odd keys up to 512.
+    const auto quiescent = [&](auto type, const char* name) {
+      typename decltype(type)::type a, b;
       for (std::uint64_t k = 1; k <= 512; k += 2) {
         a.insert(k, k);
         b.insert(k, k);
       }
-      check(a, b, mixed(1, 600), "sharded hashmap");
-    }
+      check(a, b, mixed(1, 600), name);
+    };
+    quiescent(std::type_identity<ShardedMap<LlxScxHashMap>>{},
+              "sharded hashmap");
+    quiescent(std::type_identity<ShardedMap<LlxScxChromatic>>{},
+              "sharded chromatic");
+    // The bare engines run container_apply_batch's generic chunk loop.
+    quiescent(std::type_identity<LlxScxHashMap>{}, "hashmap");
+    quiescent(std::type_identity<LlxScxChromatic>{}, "chromatic");
     {
       // The first insert that runs more than one SCX started one shard's
       // growth and migrated a stride; nothing else helps until the batch.
@@ -394,14 +405,6 @@ TEST(BatchShape, LanesAddOnlyReads) {
                                             : BatchOp::insert(k, 7));
       }
       check(a, b, ops, "sharded hashmap mid-migration");
-    }
-    {
-      ShardedMap<LlxScxChromatic> a, b;
-      for (std::uint64_t k = 1; k <= 512; k += 2) {
-        a.insert(k, k);
-        b.insert(k, k);
-      }
-      check(a, b, mixed(1, 600), "sharded chromatic");
     }
   }
 }

@@ -444,7 +444,6 @@ TYPED_TEST(TreeSentinelDeathTest, InsertAllAborts) {
     TypeParam t;
     const std::uint64_t run[] = {3, 4, k};
     EXPECT_DEATH(t.insert_all(run, 3, 1), rejection<TypeParam>(k));
-    EXPECT_FALSE(t.contains(3)) << "a rejected run inserts nothing";
   }
 }
 
@@ -459,7 +458,8 @@ TYPED_TEST(TreeSentinelDeathTest, EraseAborts) {
 // The sequence that broke a tree when sentinel keys were accepted: on
 // {5}, erase(kInf1) returned true and unlinked the sentinel leaf; after
 // insert(7) and erase(5), erase(7) returned false while contains(7) was
-// true. Now the first erase aborts and the tree stays whole.
+// true. Now the first erase aborts (in the death test's child process),
+// and the rest of the sequence answers as it should.
 TYPED_TEST(TreeSentinelDeathTest, SentinelEraseLeavesTheTreeWhole) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   {
