@@ -118,6 +118,10 @@ template <class EngineOf>
 void run_lanes(EngineOf&& engine_of, const std::uint64_t* keys, std::size_t m,
                bool* out) {
   using E = std::remove_cvref_t<decltype(engine_of(std::size_t{0}))>;
+  // Where run_lanes stays out of line (the bare engines' batch loop), this
+  // bound is what lets the compiler peel the rounds into one straight
+  // step per lane, as it does inline.
+  if (m > kLanes) __builtin_unreachable();
   typename E::Lane lane[kLanes];
   for (std::size_t i = 0; i < m; ++i) {
     engine_of(i).lane_start(lane[i], keys[i]);

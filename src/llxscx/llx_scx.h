@@ -276,7 +276,7 @@ inline ScxRecord::State detail_state_of(std::uint64_t info) {
 
 // LLX's state read: detail_state_of through this thread's horizon for the
 // word's slot, the largest seq it has acquire-read from that slot's state
-// word (DESIGN.md §5). A slot's seq only grows: its owner moves it, and a
+// word (DESIGN.md §2). A slot's seq only grows: its owner moves it, and a
 // thread that claims the slot next continues it (claim()). So once this
 // thread has read seq h there, every operation of the slot with a lower
 // seq is decided, and its marks and update happen before that read: the

@@ -4,20 +4,22 @@
 // A BatchOp is one request (get / insert / erase on a key); a batch is a
 // caller-owned array of them, answered positionally by an equal-length
 // BatchResult array. The semantics are PER-KEY PROGRAM ORDER: ops on the
-// same key take effect in their batch positions (every batch runs its ops
-// in order), while ops on different keys may interleave with concurrent
-// threads exactly as the same ops called one at a time would. A batch is
-// NOT a transaction: no atomicity across entries is implied.
+// same key take effect in their batch positions, updates in batch order
+// with each other, while ops on different keys may interleave with
+// concurrent threads, and a get may take effect before an earlier update
+// of its chunk on another key. A batch is NOT a transaction: no atomicity
+// across entries is implied.
 //
 // container_apply_batch is the one entry point: containers that implement
 // apply_batch get member dispatch (ShardedMap), every bare engine gets the
 // generic path below. Both run the one batch loop, apply_chunk: chunks
 // of at most kLanes ops, each walked first as interleaved lanes over every
 // op (gets and updates alike; engines without lanes skip the walk), then
-// answered through the scalar verbs in batch order. The generic path
-// holds one epoch guard across the whole batch, ShardedMap one per shard a
-// chunk touches; the per-op guards the verbs take inside nest at depth > 0
-// (no reservation store, no fence).
+// answered in batch order, a get by its lane unless an earlier op of the
+// chunk names its key, every other op by its scalar verb. The generic
+// path holds one epoch guard across the whole batch, ShardedMap one per
+// shard a chunk touches; the per-op guards the verbs take inside nest at
+// depth > 0 (no reservation store, no fence).
 #pragma once
 
 #include <algorithm>
@@ -76,11 +78,14 @@ bool apply_op(C& c, const BatchOp& op) {
 
 // One chunk of the batch loop: m ≤ kLanes ops, op i on engine_of(i),
 // under guards the caller holds on every engine the chunk touches. First
-// every op's search path is walked as an interleaved lane (run_lanes) and
-// its answer discarded: the walk only overlaps the paths' cache misses.
-// Then run(i) answers op i through its scalar verb, in batch order, so
-// per-key program order is batch order and every update keeps its SCX
-// shape; the lanes add only the reads of a contains per op.
+// every op's search path is walked as an interleaved lane (run_lanes), so
+// the paths' cache misses overlap. Then, in batch order, a get whose key
+// no earlier op of the chunk names is answered by its lane: it takes
+// effect during the lanes, after every op of the earlier chunks and
+// before any op of this chunk, none of which precedes it on its key.
+// Every other op is answered by run(i), its scalar verb, so updates keep
+// their SCX shapes and their order, and a get behind an op on its own key
+// sees that op. The lanes add only a contains' reads per update.
 template <class EngineOf, class Run>
 void apply_chunk(const BatchOp* ops, std::size_t m, BatchResult* out,
                  EngineOf&& engine_of, Run&& run) {
@@ -90,8 +95,14 @@ void apply_chunk(const BatchOp* ops, std::size_t m, BatchResult* out,
     bool hits[kLanes];
     for (std::size_t i = 0; i < m; ++i) keys[i] = ops[i].key;
     run_lanes(engine_of, keys, m, hits);
+    for (std::size_t i = 0; i < m; ++i) {
+      const bool by_lane = ops[i].kind == BatchOpKind::kGet &&
+                           std::find(keys, keys + i, keys[i]) == keys + i;
+      out[i].ok = by_lane ? hits[i] : run(i);
+    }
+  } else {
+    for (std::size_t i = 0; i < m; ++i) out[i].ok = run(i);
   }
-  for (std::size_t i = 0; i < m; ++i) out[i].ok = run(i);
 }
 
 template <typename C>

@@ -162,58 +162,51 @@ class ShardedMap {
 
   // --- batched surface (DESIGN.md §14) --------------------------------
   //
-  // multi_get (and insert_all, below) group keys by shard with ONE
-  // shard_for hash per key, then serve each shard's group under a single
-  // DomainScope + epoch Guard instead of one per key: guard entry's
-  // reservation store and seq_cst fence (DESIGN.md §2) amortize across
-  // the group, and the engine's multi_get (interleaved prefetching
-  // traversals where implemented) overlaps the group's cache misses.
-  //
-  // apply_batch does not group. A serving batch is a few ops spread over
-  // every shard (8 over 4 in the serving benchmark), so its groups would
-  // hold about two ops each; it runs batch.h's chunk loop across shards
-  // instead, with no sort, gather or scatter (DESIGN.md §14).
+  // multi_get and apply_batch run batch.h's chunk step across shards: at
+  // most kLanes keys at a time, one shard_for hash per key, one
+  // DomainScope + epoch Guard per shard the chunk touches (the guard's
+  // reservation store and seq_cst fence, DESIGN.md §2, amortize across
+  // the chunk), and each key's lane on its own shard's engine, so the
+  // chunk's cache misses overlap across shards. There is no sort, gather
+  // or scatter: a serving batch is a few ops spread over every shard (8
+  // over 4 in the serving benchmark), so per-shard groups would hold about
+  // two ops each. insert_all, below, does group by shard.
 
   // out[i] = contains(keys[i]). Duplicate keys welcome; n == 0 is a no-op.
+  // Engines without lanes answer each key by contains under its shard's
+  // scope.
   void multi_get(const std::uint64_t* keys, std::size_t n, bool* out) const {
-    if (n == 0) return;
-    if (shards_.size() == 1) {
-      const Shard& sh = *shards_[0];
-      Epoch::DomainScope scope(sh.domain);
-      Epoch::Guard g;
-      container_multi_get(*sh.engine, keys, n, out);
-      return;
+    for (std::size_t base = 0; base < n; base += kLanes) {
+      const std::uint64_t* chunk = keys + base;
+      const std::size_t m = std::min(kLanes, n - base);
+      Shard* sh[kLanes];
+      ChunkGuards guards;
+      route_chunk(m, [chunk](std::size_t i) { return chunk[i]; }, sh, guards);
+      if constexpr (HasLanes<Engine>) {
+        run_lanes(
+            [&sh](std::size_t i) -> const Engine& { return *sh[i]->engine; },
+            chunk, m, out + base);
+      } else {
+        for (std::size_t i = 0; i < m; ++i) {
+          Epoch::DomainScope scope(sh[i]->domain);
+          out[base + i] = sh[i]->engine->contains(chunk[i]);
+        }
+      }
     }
-    Scratch& sc = scratch();
-    group_by_shard(sc, n, [&](std::size_t i) { return keys[i]; });
-    sc.keys.resize(n);
-    for (std::size_t j = 0; j < n; ++j) sc.keys[j] = keys[sc.order[j]];
-    bool* hits = sc.hit_buf(n);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      const std::size_t b = sc.start[s], e = sc.start[s + 1];
-      if (b == e) continue;
-      const Shard& sh = *shards_[s];
-      Epoch::DomainScope scope(sh.domain);
-      Epoch::Guard g;  // one reservation+fence for the whole group
-      container_multi_get(*sh.engine, sc.keys.data() + b, e - b, hits + b);
-    }
-    for (std::size_t j = 0; j < n; ++j) out[sc.order[j]] = hits[j];
   }
 
-  // Mixed-op batch, answered positionally by batch.h's chunk loop: one
-  // shard_for hash per op, one DomainScope + Guard per shard a chunk
-  // touches, each op's lane on its own shard's engine, then each op's
-  // scalar verb under its shard's scope, in batch order.
+  // Mixed-op batch, answered positionally by batch.h's chunk loop: each
+  // op's lane on its own shard's engine, then, in batch order, each op
+  // not answered by its lane through its scalar verb under its shard's
+  // scope.
   void apply_batch(const BatchOp* ops, std::size_t n, BatchResult* out) {
     for (std::size_t base = 0; base < n; base += kLanes) {
       const BatchOp* chunk = ops + base;
       const std::size_t m = std::min(kLanes, n - base);
       Shard* sh[kLanes];
       ChunkGuards guards;
-      for (std::size_t i = 0; i < m; ++i) {
-        sh[i] = shards_[shard_for(chunk[i].key)].get();
-        if (std::find(sh, sh + i, sh[i]) == sh + i) guards.enter(sh[i]->domain);
-      }
+      route_chunk(m, [chunk](std::size_t i) { return chunk[i].key; }, sh,
+                  guards);
       apply_chunk(
           chunk, m, out + base,
           [&sh](std::size_t i) -> const Engine& { return *sh[i]->engine; },
@@ -320,9 +313,9 @@ class ShardedMap {
 
   // --- service-layer surface ------------------------------------------
   std::size_t shard_count() const { return shards_.size(); }
-  // The routing hash, exposed so loops over many keys (the shard grouping
-  // of multi_get and insert_all, external dispatchers) compute it ONCE
-  // per key instead of re-hashing inside every contains/insert/erase call.
+  // The routing hash, exposed so loops over many keys (the batch chunks,
+  // insert_all's grouping, external dispatchers) compute it ONCE per key
+  // instead of re-hashing inside every contains/insert/erase call.
   std::size_t shard_for(std::uint64_t key) const {
     return split_(key, shard_bits_);
   }
@@ -391,33 +384,33 @@ class ShardedMap {
     std::size_t n_ = 0;
   };
 
+  // The chunk step's routing: sh[i] = the shard of key_of(i), i < m ≤
+  // kLanes, and one guard entered per distinct shard.
+  template <class KeyOf>
+  void route_chunk(std::size_t m, KeyOf&& key_of, Shard** sh,
+                   ChunkGuards& guards) const {
+    for (std::size_t i = 0; i < m; ++i) {
+      sh[i] = shards_[shard_for(key_of(i))].get();
+      if (std::find(sh, sh + i, sh[i]) == sh + i) guards.enter(sh[i]->domain);
+    }
+  }
+
   Shard& shard_ref(std::uint64_t key) { return *shards_[shard_for(key)]; }
   const Shard& shard_ref(std::uint64_t key) const {
     return *shards_[shard_for(key)];
   }
 
-  // Per-thread grouping and merge buffers: multi_get, insert_all and range
-  // allocate nothing on the steady state (vectors keep their high-water
-  // capacity).
+  // Per-thread grouping and merge buffers: insert_all and range allocate
+  // nothing on the steady state (vectors keep their high-water capacity).
   struct Scratch {
     std::vector<std::uint32_t> shard_ix;  // shard id per key (one hash each)
     std::vector<std::uint32_t> order;     // key indices, grouped by shard
     std::vector<std::uint32_t> cursor;    // counting-sort write heads
     std::vector<std::uint32_t> start;     // group boundaries, size shards+1
     std::vector<std::uint64_t> keys;     // gathered keys
-    std::unique_ptr<bool[]> hits;        // gathered answers (multi_get)
-    std::size_t hits_cap = 0;
     RangeOut runs;                       // shard slices, back to back (range)
     RangeOut merged;                     // range's other merge buffer
     std::vector<std::size_t> run_end;    // slice boundaries, size shards+1
-
-    bool* hit_buf(std::size_t n) {
-      if (hits_cap < n) {
-        hits = std::make_unique<bool[]>(n);
-        hits_cap = n;
-      }
-      return hits.get();
-    }
   };
   static Scratch& scratch() {
     thread_local Scratch sc;

@@ -11,8 +11,8 @@
 //   - the hashmap's interleaved lanes survive a live bucket migration
 //     (the kMoved/kDone routing is per lane), and so do sharded batches
 //     while every shard grows;
-//   - the batch loop's lanes add a multi_get's reads to the scalar
-//     verbs' steps, and no other step;
+//   - the batch loop's lanes add a multi_get's reads to the steps of
+//     the scalar verbs they do not answer, and no other step;
 //   - EbrManager's free lists are size-classed by malloc chunk size:
 //     reuse is by address equality WITHIN a class and never across
 //     classes, and a thread banks at most kBankCap blocks per class.
@@ -316,13 +316,16 @@ TEST(MultiGetShape, SameStepsAsScalarGets) {
   }
 }
 
-// The batch loop's lanes add reads and nothing else: a mixed batch costs
-// exactly what its ops cost through the scalar verbs, in order, on an
-// identical map, plus, per chunk of kLanes ops, the reads of a multi_get
-// over the chunk's keys on the map as the chunk found it. The sharded
-// hash map is checked quiescent and frozen mid-migration (one shard's
-// growth in flight, so lanes route through kMoved/kDone), the sharded
-// chromatic tree and both bare engines quiescent.
+// The batch loop's lanes add reads and nothing else: per chunk of kLanes
+// ops, a mixed batch costs the reads of a multi_get over the chunk's keys
+// on the map as the chunk found it, plus exactly what the ops its lanes
+// do not answer (updates, and gets behind an op on their key) cost
+// through the scalar verbs, in order, on an identical map. A get its lane
+// answers costs nothing more and answers as contains would at its batch
+// position. The sharded hash map is checked quiescent and frozen
+// mid-migration (one shard's growth in flight, so lanes route through
+// kMoved/kDone), the sharded chromatic tree and both bare engines
+// quiescent.
 TEST(BatchShape, LanesAddOnlyReads) {
   if constexpr (!kStepCounting) {
     GTEST_SKIP() << "built with LLXSCX_COUNT_STEPS=OFF";
@@ -334,18 +337,30 @@ TEST(BatchShape, LanesAddOnlyReads) {
         container_apply_batch(batched, ops.data(), ops.size(), got.data());
       });
       StepCounts s, lanes;
+      std::size_t by_lane = 0;
       for (std::size_t base = 0; base < ops.size(); base += kLanes) {
         const std::size_t m = std::min(kLanes, ops.size() - base);
         std::uint64_t keys[kLanes];
         bool hits[kLanes];
         for (std::size_t i = 0; i < m; ++i) keys[i] = ops[base + i].key;
         lanes += steps_of([&] { scalar.multi_get(keys, m, hits); });
-        for (std::size_t i = base; i < base + m; ++i) {
+        for (std::size_t i = 0; i < m; ++i) {
+          const BatchOp& op = ops[base + i];
+          if (op.kind == BatchOpKind::kGet &&
+              std::find(keys, keys + i, op.key) == keys + i) {
+            ++by_lane;
+            EXPECT_EQ(got[base + i].ok, hits[i]) << name << " op " << base + i;
+            EXPECT_EQ(got[base + i].ok, scalar.contains(op.key))
+                << name << " op " << base + i;
+            continue;
+          }
           s += steps_of([&] {
-            EXPECT_EQ(got[i].ok, apply_op(scalar, ops[i])) << name << " op " << i;
+            EXPECT_EQ(got[base + i].ok, apply_op(scalar, op))
+                << name << " op " << base + i;
           });
         }
       }
+      EXPECT_GT(by_lane, 0u) << name;
       EXPECT_EQ(b.llx_calls, s.llx_calls) << name;
       EXPECT_EQ(b.scx_calls, s.scx_calls) << name;
       EXPECT_EQ(b.cas, s.cas) << name;
@@ -355,7 +370,8 @@ TEST(BatchShape, LanesAddOnlyReads) {
       EXPECT_GT(lanes.shared_reads, 0u) << name;
       EXPECT_EQ(b.shared_reads, s.shared_reads + lanes.shared_reads) << name;
     };
-    // Three chunks of present and absent keys, with duplicates.
+    // Three chunks of present and absent keys, with duplicates, then one
+    // whose gets follow ops on their own keys.
     const auto mixed = [](std::uint64_t lo, std::uint64_t span) {
       std::vector<BatchOp> ops;
       Xoshiro256 rng(0x5A4E);
@@ -365,6 +381,12 @@ TEST(BatchShape, LanesAddOnlyReads) {
         ops.push_back(dice < 2    ? BatchOp::get(key)
                       : dice == 2 ? BatchOp::insert(key, i)
                                   : BatchOp::erase(key));
+      }
+      for (const std::uint64_t key : {lo + 1, lo + 2}) {
+        ops.push_back(BatchOp::insert(key, 0));
+        ops.push_back(BatchOp::get(key));
+        ops.push_back(BatchOp::erase(key));
+        ops.push_back(BatchOp::get(key));
       }
       return ops;
     };

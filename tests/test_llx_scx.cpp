@@ -255,7 +255,7 @@ TEST(LlxScx, StaleHelperCannotWriteTheSlotsNextOperation) {
       next_seq, ScxRecord::kAllFrozen | ScxRecord::kCommitted));
 }
 
-// --- LLX's horizon (DESIGN.md §5) --------------------------------------------
+// --- LLX's horizon (DESIGN.md §2) --------------------------------------------
 //
 // Each thread remembers, per descriptor slot, the largest seq it has read
 // from the slot's state word. An info word below that horizon names a
